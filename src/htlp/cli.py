@@ -14,16 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .counting import CountBoundExceededError, count_formula, factor_table
 from .countermodels import theory_to_program_cm
-from .dnf import theory_to_dnf, theory_to_dnf_clauses
+from .dnf import theory_to_dnf_clauses
 from .formula import (
     Program,
     Signature,
     Theory,
+    disj,
     program_to_text,
     to_text,
 )
@@ -49,21 +49,6 @@ EXIT_CAP_EXCEEDED = 3
 CAP_ACK_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    inputs: tuple[str, ...]
-    signature_override: tuple[str, ...]
-    method: Optional[str]
-    mode: str
-    simplify: bool
-    verify: bool
-    annotate: bool
-    fmt: str
-    cap: int
-    trace: bool
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htlp",
@@ -72,8 +57,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_theory_command(name: str, help_text: str, n_inputs: str = "*"):
+    def add_theory_command(name: str, help_text: str, func, n_inputs: str = "*"):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(func=func)
         cmd.add_argument(
             "inputs", nargs=n_inputs, metavar="FILE",
             help="theory file ('-' or nothing reads standard input)",
@@ -96,12 +82,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
         return cmd
 
-    add_theory_command("models", "list the here-and-there models")
-    add_theory_command("countermodels", "list the here-and-there countermodels")
-    add_theory_command("equilibrium", "list the equilibrium models (answer sets)")
+    add_theory_command("models", "list the here-and-there models", _cmd_model_listing)
+    add_theory_command(
+        "countermodels", "list the here-and-there countermodels", _cmd_model_listing
+    )
+    add_theory_command(
+        "equilibrium", "list the equilibrium models (answer sets)", _cmd_equilibrium
+    )
 
     to_program = add_theory_command(
-        "to-program", "translate into a strongly equivalent program"
+        "to-program", "translate into a strongly equivalent program", _cmd_to_program
     )
     to_program.add_argument(
         "--method", choices=("syntactic", "countermodel"), required=True,
@@ -126,7 +116,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
 
     to_dnf = add_theory_command(
-        "to-dnf", "build the model-based disjunctive normal form"
+        "to-dnf", "build the model-based disjunctive normal form", _cmd_to_dnf
     )
     to_dnf.add_argument("--verify", action="store_true",
                         help="re-check equivalence with the input")
@@ -134,38 +124,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="one clause per line with its source interpretation")
 
     add_theory_command(
-        "check-equiv", "decide strong equivalence of two theories", n_inputs=2
+        "check-equiv", "decide strong equivalence of two theories",
+        _cmd_check_equiv, n_inputs=2,
     )
 
     count = sub.add_parser(
         "count", help="count programs modulo strong equivalence"
     )
+    count.set_defaults(func=_cmd_count)
     count.add_argument("n", type=int, help="number of atoms")
     count.add_argument("--verbose", action="store_true",
                        help="also print the per-size factor table")
     count.add_argument("--format", dest="fmt", choices=("text", "structured"),
                        default="text")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    override = tuple(
-        name
-        for name in getattr(args, "signature", "").replace(",", " ").split()
-    )
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=tuple(getattr(args, "inputs", ())),
-        signature_override=override,
-        method=getattr(args, "method", None),
-        mode=getattr(args, "mode", "whole"),
-        simplify=getattr(args, "simplify", False),
-        verify=getattr(args, "verify", False),
-        annotate=getattr(args, "annotate", False),
-        fmt=getattr(args, "fmt", "text"),
-        cap=getattr(args, "cap", DEFAULT_CAP),
-        trace=getattr(args, "trace", False),
-    )
 
 
 def _read_source(path: str) -> str:
@@ -183,27 +155,26 @@ def _parse_input(path: str, override: Signature) -> Theory:
         raise
 
 
-def _load_theory(paths: tuple[str, ...], cfg: RunConfig) -> Theory:
-    override = Signature(cfg.signature_override)
+def _override(args: argparse.Namespace) -> Signature:
+    return Signature(args.signature.replace(",", " ").split())
+
+
+def _load_theory(args: argparse.Namespace) -> Theory:
+    override = _override(args)
     theory = Theory((), override)
-    for path in paths if paths else ("-",):
+    for path in args.inputs or ("-",):
         theory = theory.union(_parse_input(path, override))
     return theory
-
-
-def _check_cap(cfg: RunConfig, sig: Signature) -> None:
-    if len(sig) > cfg.cap:
-        raise CapExceededError(len(sig), cfg.cap)
 
 
 def _interp_json(interp: HtInterpretation) -> dict:
     return {"here": sorted(interp.here), "there": sorted(interp.there)}
 
 
-def _emit_structured(cfg: RunConfig, sig: Signature, results: dict,
+def _emit_structured(args: argparse.Namespace, sig: Signature, results: dict,
                      verification: Optional[str] = None) -> None:
     document = {
-        "command": cfg.subcommand,
+        "command": args.subcommand,
         "signature": list(sig),
         "results": results,
         "verification": verification,
@@ -211,29 +182,27 @@ def _emit_structured(cfg: RunConfig, sig: Signature, results: dict,
     print(json.dumps(document, indent=2))
 
 
-def _cmd_model_listing(cfg: RunConfig) -> int:
-    theory = _load_theory(cfg.inputs, cfg)
-    _check_cap(cfg, theory.signature)
-    if cfg.fmt == "structured":
-        _emit_structured(cfg, theory.signature, {
-            "models": [_interp_json(m) for m in ht_models(theory, cfg.cap)],
+def _cmd_model_listing(args: argparse.Namespace) -> int:
+    theory = _load_theory(args)
+    if args.fmt == "structured":
+        _emit_structured(args, theory.signature, {
+            "models": [_interp_json(m) for m in ht_models(theory, args.cap)],
             "countermodels": [
-                _interp_json(m) for m in ht_countermodels(theory, cfg.cap)
+                _interp_json(m) for m in ht_countermodels(theory, args.cap)
             ],
         })
     else:
-        compute = ht_models if cfg.subcommand == "models" else ht_countermodels
-        for line in compute(theory, cfg.cap).display_lines():
+        compute = ht_models if args.subcommand == "models" else ht_countermodels
+        for line in compute(theory, args.cap).display_lines():
             print(line)
     return EXIT_OK
 
 
-def _cmd_equilibrium(cfg: RunConfig) -> int:
-    theory = _load_theory(cfg.inputs, cfg)
-    _check_cap(cfg, theory.signature)
-    answer_sets = equilibrium_models(theory, cfg.cap)
-    if cfg.fmt == "structured":
-        _emit_structured(cfg, theory.signature, {
+def _cmd_equilibrium(args: argparse.Namespace) -> int:
+    theory = _load_theory(args)
+    answer_sets = equilibrium_models(theory, args.cap)
+    if args.fmt == "structured":
+        _emit_structured(args, theory.signature, {
             "equilibrium_models": [sorted(y) for y in answer_sets],
         })
     else:
@@ -242,31 +211,33 @@ def _cmd_equilibrium(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _translate(cfg: RunConfig, theory: Theory) -> Program:
-    if cfg.method == "countermodel":
-        program = theory_to_program_cm(theory, cfg.mode, cfg.cap)
-        if cfg.simplify:
-            program = simplify(program, cfg.cap)
+def _translate(args: argparse.Namespace, theory: Theory) -> Program:
+    # Not every method enumerates the whole signature, so check it here.
+    if len(theory.signature) > args.cap:
+        raise CapExceededError(len(theory.signature), args.cap)
+    if args.method == "countermodel":
+        program = theory_to_program_cm(theory, args.mode, args.cap)
+        if args.simplify:
+            program = simplify(program, args.cap)
         return program
-    trace = RewriteTrace() if cfg.trace else None
-    program = theory_to_program_syn(theory, cfg.simplify, trace, cfg.cap)
+    trace = RewriteTrace() if args.trace else None
+    program = theory_to_program_syn(theory, args.simplify, trace, args.cap)
     if trace is not None and trace.steps:
         print("\n".join(trace.lines()), file=sys.stderr)
     return program
 
 
-def _cmd_to_program(cfg: RunConfig) -> int:
-    theory = _load_theory(cfg.inputs, cfg)
-    _check_cap(cfg, theory.signature)
-    program = _translate(cfg, theory)
+def _cmd_to_program(args: argparse.Namespace) -> int:
+    theory = _load_theory(args)
+    program = _translate(args, theory)
     verification = None
-    if cfg.verify:
-        outcome = ht_equivalent(theory, program.to_theory(), cfg.cap)
+    if args.verify:
+        outcome = ht_equivalent(theory, program.to_theory(), args.cap)
         verification = "VERIFIED" if outcome.equivalent else "FAILED"
-    if cfg.fmt == "structured":
-        _emit_structured(cfg, theory.signature, {
-            "method": cfg.method,
-            "mode": cfg.mode if cfg.method == "countermodel" else "per_formula",
+    if args.fmt == "structured":
+        _emit_structured(args, theory.signature, {
+            "method": args.method,
+            "mode": args.mode if args.method == "countermodel" else "per_formula",
             "rule_count": len(program),
             "rules": [line for line in program_to_text(program).splitlines()],
         }, verification)
@@ -279,17 +250,16 @@ def _cmd_to_program(cfg: RunConfig) -> int:
     return EXIT_CHECK_FAILED if verification == "FAILED" else EXIT_OK
 
 
-def _cmd_to_dnf(cfg: RunConfig) -> int:
-    theory = _load_theory(cfg.inputs, cfg)
-    _check_cap(cfg, theory.signature)
-    clauses = theory_to_dnf_clauses(theory, cfg.cap)
-    formula = theory_to_dnf(theory, cfg.cap)
+def _cmd_to_dnf(args: argparse.Namespace) -> int:
+    theory = _load_theory(args)
+    clauses = theory_to_dnf_clauses(theory, args.cap)
+    formula = disj(dict.fromkeys(c.clause for c in clauses))
     verification = None
-    if cfg.verify:
-        outcome = ht_equivalent(theory, Theory((formula,), theory.signature), cfg.cap)
+    if args.verify:
+        outcome = ht_equivalent(theory, Theory((formula,), theory.signature), args.cap)
         verification = "VERIFIED" if outcome.equivalent else "FAILED"
-    if cfg.fmt == "structured":
-        _emit_structured(cfg, theory.signature, {
+    if args.fmt == "structured":
+        _emit_structured(args, theory.signature, {
             "dnf": to_text(formula),
             "clauses": [
                 {"clause": to_text(c.clause), "source": _interp_json(c.source)}
@@ -297,7 +267,7 @@ def _cmd_to_dnf(cfg: RunConfig) -> int:
             ],
         }, verification)
     else:
-        if cfg.annotate:
+        if args.annotate:
             for i, c in enumerate(clauses, start=1):
                 print(f"{to_text(c.clause)}  % clause {i}: {c.source.display()}")
         else:
@@ -307,14 +277,11 @@ def _cmd_to_dnf(cfg: RunConfig) -> int:
     return EXIT_CHECK_FAILED if verification == "FAILED" else EXIT_OK
 
 
-def _cmd_check_equiv(cfg: RunConfig) -> int:
-    override = Signature(cfg.signature_override)
-    first = _parse_input(cfg.inputs[0], override)
-    second = _parse_input(cfg.inputs[1], override)
-    _check_cap(cfg, first.signature | second.signature)
-    outcome = ht_equivalent(first, second, cfg.cap)
-    if cfg.fmt == "structured":
-        _emit_structured(cfg, first.signature | second.signature, {
+def _cmd_check_equiv(args: argparse.Namespace) -> int:
+    first, second = (_parse_input(path, _override(args)) for path in args.inputs)
+    outcome = ht_equivalent(first, second, args.cap)
+    if args.fmt == "structured":
+        _emit_structured(args, first.signature | second.signature, {
             "equivalent": outcome.equivalent,
             "witness": _interp_json(outcome.witness) if outcome.witness else None,
         })
@@ -325,6 +292,18 @@ def _cmd_check_equiv(cfg: RunConfig) -> int:
     return EXIT_OK if outcome.equivalent else EXIT_CHECK_FAILED
 
 
+def _decimal(value: int) -> str:
+    """value in decimal, past the interpreter's int-to-str digit limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # builds without the limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     result = count_formula(args.n)
     if args.fmt == "structured":
@@ -333,7 +312,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "signature": [],
             "results": {
                 "n": result.n,
-                "value": str(result.value),
+                "value": _decimal(result.value),
                 "factors": [
                     {"i": i, "binomial": binom, "factor": str(factor)}
                     for i, binom, factor in factor_table(args.n)
@@ -346,44 +325,30 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.verbose:
         for i, binom, factor in factor_table(args.n):
             print(f"i={i} binomial={binom} factor={factor}")
-    print(result.value)
+    print(_decimal(result.value))
     return EXIT_OK
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "cap", 0) < 0:
+        parser.error(f"argument --cap: expected a number of atoms, got {args.cap}")
+    if getattr(args, "cap", 0) > CAP_ACK_LIMIT and not args.allow_large:
+        print(
+            f"error: --cap {args.cap} exceeds {CAP_ACK_LIMIT}; "
+            "pass --allow-large to confirm",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE_ERROR
     try:
-        if args.subcommand == "count":
-            return _cmd_count(args)
-        cfg = _config_from_args(args)
-        if cfg.cap > CAP_ACK_LIMIT and not args.allow_large:
-            print(
-                f"error: --cap {cfg.cap} exceeds {CAP_ACK_LIMIT}; "
-                "pass --allow-large to confirm",
-                file=sys.stderr,
-            )
-            return EXIT_PARSE_ERROR
-        if cfg.subcommand in ("models", "countermodels"):
-            return _cmd_model_listing(cfg)
-        if cfg.subcommand == "equilibrium":
-            return _cmd_equilibrium(cfg)
-        if cfg.subcommand == "to-program":
-            return _cmd_to_program(cfg)
-        if cfg.subcommand == "to-dnf":
-            return _cmd_to_dnf(cfg)
-        if cfg.subcommand == "check-equiv":
-            return _cmd_check_equiv(cfg)
-        raise AssertionError(f"unhandled subcommand {cfg.subcommand!r}")
+        return args.func(args)
     except ParseError as error:
         source = getattr(error, "source", None)
         prefix = f"{source}: " if source else ""
         print(f"error: {prefix}{error}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except CapExceededError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_CAP_EXCEEDED
-    except CountBoundExceededError as error:
+    except (CapExceededError, CountBoundExceededError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except (OSError, ValueError) as error:

@@ -22,7 +22,8 @@ from itertools import combinations
 from .formula import Signature
 from .semantics import InterpretationSet, enumerate_interpretations
 
-FORMULA_MAX_N = 64
+#: The count has about 3^n bits; n = 12 has 158,754 decimal digits.
+FORMULA_MAX_N = 12
 BRUTEFORCE_MAX_N = 4
 FILTER_MAX_N = 2
 

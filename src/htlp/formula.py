@@ -332,15 +332,24 @@ class Program:
 
 # --- printing ----------------------------------------------------------
 
+def _chain(f: And | Or) -> tuple[str, list[Formula]]:
+    """f's symbol and the operands of its left-nested chain (deep from conj, disj)."""
+    kind, operands = type(f), []
+    while type(f) is kind:
+        operands.append(f.right)
+        f = f.left
+    return (" & " if kind is And else " | "), [f] + operands[::-1]
+
+
 def _raw(f: Formula) -> str:
     if isinstance(f, Bottom):
         return "bot"
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, And):
-        return f"({_raw(f.left)} & {_raw(f.right)})"
-    if isinstance(f, Or):
-        return f"({_raw(f.left)} | {_raw(f.right)})"
+    if isinstance(f, (And, Or)):
+        symbol, (first, *rest) = _chain(f)
+        tail = "".join(f"{symbol}{_raw(g)})" for g in rest)
+        return "(" * len(rest) + _raw(first) + tail
     if isinstance(f, Implies):
         return f"({_raw(f.antecedent)} -> {_raw(f.consequent)})"
     raise TypeError(f"not a formula: {f!r}")
@@ -364,12 +373,12 @@ def _sugared(f: Formula, context: int) -> str:
         return "top"
     if isinstance(f, Implies) and f.consequent == BOT:
         return "~" + _sugared(f.antecedent, _PREC_NEG)
-    if isinstance(f, And):
-        text = f"{_sugared(f.left, _PREC_AND)} & {_sugared(f.right, _PREC_AND + 1)}"
-        return f"({text})" if context > _PREC_AND else text
-    if isinstance(f, Or):
-        text = f"{_sugared(f.left, _PREC_OR)} | {_sugared(f.right, _PREC_OR + 1)}"
-        return f"({text})" if context > _PREC_OR else text
+    if isinstance(f, (And, Or)):
+        prec = _PREC_AND if isinstance(f, And) else _PREC_OR
+        symbol, (first, *rest) = _chain(f)
+        parts = [_sugared(first, prec)] + [_sugared(g, prec + 1) for g in rest]
+        text = symbol.join(parts)
+        return f"({text})" if context > prec else text
     if isinstance(f, Implies):
         text = (
             f"{_sugared(f.antecedent, _PREC_IMPLIES + 1)} -> "

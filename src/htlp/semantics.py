@@ -7,14 +7,28 @@ two-world reading: an implication holds when it holds locally and its
 classical reading holds at Y.  Total interpretations (X = Y) collapse to
 classical logic.
 
-Everything here enumerates the 3^n interpretation space directly, so an
-explicit cap (default 16 atoms) protects against accidental blowups.
+One evaluator answers everything: it compiles a formula, without
+recursion, into Python-int truth tables over the interpretations, "here"
+(the formula holds) and "there" (it holds classically at Y).  & and | act
+on both; F -> G gives there = ~F.there | G.there and here = there &
+(~F.here | G.here), the truth-table form of the here/there-copy reduction
+of HT to classical logic (Pearce, Tompits & Woltran, TPLP 2009).  A single
+interpretation gets one-position tables.
+
+Layout: digit i (base 3) of a position is 0, 1 or 2 when atom i is
+absent, only "there", or "here"; the n-atom tables are built by tripling
+the (n-1)-atom tables.  Within one there-set, and among the total
+interpretations, position order is canonical order (there-set mask, then
+here-set mask), but the columns of different there-sets interleave.  So
+ordered scans go through the projection of a set onto its total members
+(Y, Y), n shifted ORs, which also give the equilibrium and closure tests.
+The tables have 3^n bits, hence an explicit cap (default 16 atoms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .formula import (
     And,
@@ -81,22 +95,98 @@ class HtInterpretation:
         return f"({self.display()})"
 
 
-def _mask(index: dict[str, int], atoms: frozenset[str]) -> int:
-    value = 0
-    for name in atoms:
-        value |= 1 << index[name]
-    return value
+# --- the evaluator -----------------------------------------------------
+
+_Tables = tuple[int, int]
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask in ascending numeric order."""
-    positions = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-    for k in range(1 << len(positions)):
-        sub = 0
-        for j, position in enumerate(positions):
-            if (k >> j) & 1:
-                sub |= 1 << position
-        yield sub
+def _tables(f: Formula, atom: Callable[[str], _Tables], full: int) -> _Tables:
+    """The (here, there) tables of f from its atoms' tables; full has every position."""
+    values: list[_Tables] = []
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        if node is And or node is Or or node is Implies:  # its operands are done
+            g_here, g_there = values.pop()
+            f_here, f_there = values.pop()
+            if node is And:
+                values.append((f_here & g_here, f_there & g_there))
+            elif node is Or:
+                values.append((f_here | g_here, f_there | g_there))
+            else:
+                there = (~f_there | g_there) & full
+                values.append((there & (~f_here | g_here), there))
+        elif isinstance(node, Atom):
+            values.append(atom(node.name))
+        elif isinstance(node, Implies):
+            todo += (Implies, node.consequent, node.antecedent)
+        elif isinstance(node, (And, Or)):
+            todo += (And if isinstance(node, And) else Or, node.right, node.left)
+        elif isinstance(node, Bottom):
+            values.append((0, 0))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return values[0]
+
+
+class _Space:
+    """The 3^n interpretations over a signature, as table positions."""
+
+    def __init__(self, sig: Signature, cap: Optional[int] = None) -> None:
+        if cap is not None and len(sig) > cap:
+            raise CapExceededError(len(sig), cap)
+        self.signature = sig
+        self.weight = {name: 3**i for i, name in enumerate(sig)}
+        # (X, Y) sits at offset[Y mask] + offset[X mask]; names[mask] is the
+        # atom set, shared; twos[3^i] marks the positions whose digit i is 2.
+        self.offset, self.names, self.total, self.twos = [0], [frozenset()], 1, {}
+        for name, step in self.weight.items():
+            self.offset += [o + step for o in self.offset]
+            self.names += [atoms | {name} for atoms in self.names]
+            self.total |= self.total << 2 * step
+            self.twos = {s: t | t << step | t << 2 * step for s, t in self.twos.items()}
+            self.twos[step] = ((1 << step) - 1) << 2 * step
+        self.size = 3 ** len(sig)
+        self.full = (1 << self.size) - 1
+
+    def atom(self, name: str) -> _Tables:
+        step = self.weight[name]
+        here = self.twos[step]
+        return here, here | here >> step
+
+    def theory(self, t: Theory) -> int:
+        table = self.full
+        for f in t.formulas:
+            table &= _tables(f, self.atom, self.full)[0]
+        return table
+
+    def project(self, table: int) -> int:
+        """The totals (Y, Y) whose column meets table."""
+        for step, here in self.twos.items():
+            table |= (table & here >> step) << step
+        return table & self.total
+
+    def totals(self, table: int) -> Iterator[int]:
+        """The masks Y with (Y, Y) in table, ascending."""
+        bits = table.to_bytes(self.size // 8 + 1, "little")
+        for y, base in enumerate(self.offset):
+            if bits[base >> 2] >> (2 * base & 7) & 1:  # (Y, Y) is at 2 * base
+                yield y
+
+    def members(
+        self, table: int, columns: Optional[int] = None
+    ) -> Iterator[HtInterpretation]:
+        """table's interpretations in canonical order, from the given totals' columns."""
+        bits = table.to_bytes(self.size // 8 + 1, "little")
+        for y in self.totals(self.project(table) if columns is None else columns):
+            base, x = self.offset[y], 0
+            while True:
+                p = base + self.offset[x]
+                if bits[p >> 3] >> (p & 7) & 1:
+                    yield HtInterpretation(self.names[x], self.names[y], self.signature)
+                if x == y:
+                    break
+                x = (x - y) & y  # the next submask of y
 
 
 @dataclass(frozen=True)
@@ -122,12 +212,24 @@ class InterpretationSet:
                 raise ValueError(
                     f"interpretation over {m.over!r} in a set over {self.signature!r}"
                 )
-        index = {name: i for i, name in enumerate(self.signature)}
-        ordered = sorted(
-            dict.fromkeys(members),
-            key=lambda m: (_mask(index, m.there), _mask(index, m.here)),
-        )
-        object.__setattr__(self, "members", tuple(ordered))
+        space = _Space(self.signature)
+        weight = space.weight
+        positions = {
+            sum(weight[a] for a in m.there) + sum(weight[a] for a in m.here)
+            for m in members
+        }
+        self._decode(space, sum(1 << p for p in positions))
+
+    @classmethod
+    def _of(cls, space: _Space, table: int) -> InterpretationSet:
+        result = cls.__new__(cls)
+        object.__setattr__(result, "signature", space.signature)
+        result._decode(space, table)
+        return result
+
+    def _decode(self, space: _Space, table: int) -> None:
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "members", tuple(space.members(table)))
 
     def __iter__(self) -> Iterator[HtInterpretation]:
         return iter(self.members)
@@ -138,25 +240,17 @@ class InterpretationSet:
     def __contains__(self, item: object) -> bool:
         return item in self.members
 
-    def as_pairs(self) -> frozenset[tuple[frozenset[str], frozenset[str]]]:
-        return frozenset((m.here, m.there) for m in self.members)
-
     def total_closure_violation(
         self,
     ) -> Optional[tuple[HtInterpretation, HtInterpretation]]:
         """A total member whose family is incomplete, with a missing (X, Y)."""
-        have = self.as_pairs()
-        index = {name: i for i, name in enumerate(self.signature)}
-        atoms = tuple(self.signature)
-        for m in self.members:
-            if not m.total():
-                continue
-            for sub in _submasks(_mask(index, m.there)):
-                here = frozenset(a for a in atoms if (sub >> index[a]) & 1)
-                if (here, m.there) not in have:
-                    missing = HtInterpretation(here, m.there, self.signature)
-                    return m, missing
-        return None
+        space = _Space(self.signature)
+        missing = space.full ^ self._table
+        broken = self._table & space.project(missing)
+        if not broken:
+            return None
+        gap = next(space.members(missing, broken & -broken))
+        return HtInterpretation(gap.there, gap.there, self.signature), gap
 
     def is_total_closed(self) -> bool:
         return self.total_closure_violation() is None
@@ -170,89 +264,41 @@ class InterpretationSet:
 def sat_classical(atoms_true: Iterable[str], f: Formula) -> bool:
     """Classical truth of f in the model given by a set of atoms."""
     true_set = atoms_true if isinstance(atoms_true, (set, frozenset)) else set(atoms_true)
-    return _sat_classical(true_set, f)
-
-
-def _sat_classical(true_set, f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return f.name in true_set
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, And):
-        return _sat_classical(true_set, f.left) and _sat_classical(true_set, f.right)
-    if isinstance(f, Or):
-        return _sat_classical(true_set, f.left) or _sat_classical(true_set, f.right)
-    if isinstance(f, Implies):
-        return (not _sat_classical(true_set, f.antecedent)) or _sat_classical(
-            true_set, f.consequent
-        )
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _sat_ht(here: frozenset[str], there: frozenset[str], f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return f.name in here
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, And):
-        return _sat_ht(here, there, f.left) and _sat_ht(here, there, f.right)
-    if isinstance(f, Or):
-        return _sat_ht(here, there, f.left) or _sat_ht(here, there, f.right)
-    if isinstance(f, Implies):
-        # Local condition plus the classical reading at the there-world.
-        if not _sat_classical(there, f):
-            return False
-        return (not _sat_ht(here, there, f.antecedent)) or _sat_ht(
-            here, there, f.consequent
-        )
-    raise TypeError(f"not a formula: {f!r}")
+    return bool(_tables(f, lambda name: (name in true_set,) * 2, 1)[0])
 
 
 def sat_ht(interpretation: HtInterpretation, f: Formula) -> bool:
     """Here-and-there satisfaction of f at (here, there)."""
-    if not atoms_of(f).issubset(interpretation.over):
-        extra = set(atoms_of(f)) - set(interpretation.over)
+    here, there, over = interpretation.here, interpretation.there, interpretation.over
+    point = {name: (name in here, name in there) for name in over}
+    try:
+        return bool(_tables(f, point.__getitem__, 1)[0])
+    except KeyError:
+        extra = set(atoms_of(f)) - set(over)
         raise SignatureMismatchError(
             f"formula mentions atoms outside the signature: {sorted(extra)}"
-        )
-    return _sat_ht(interpretation.here, interpretation.there, f)
+        ) from None
 
 
-def _sat_theory(here: frozenset[str], there: frozenset[str], t: Theory) -> bool:
-    return all(_sat_ht(here, there, f) for f in t.formulas)
-
-
-# --- enumeration and model sets ----------------------------------------
+# --- model sets --------------------------------------------------------
 
 def enumerate_interpretations(
     sig: Signature, cap: int = DEFAULT_CAP
 ) -> InterpretationSet:
     """All 3^n pairs (X, Y) with X subseteq Y subseteq sig, canonically ordered."""
-    n = len(sig)
-    if n > cap:
-        raise CapExceededError(n, cap)
-    atoms = tuple(sig)
-    members = []
-    for ymask in range(1 << n):
-        there = frozenset(a for i, a in enumerate(atoms) if (ymask >> i) & 1)
-        for xmask in _submasks(ymask):
-            here = frozenset(a for i, a in enumerate(atoms) if (xmask >> i) & 1)
-            members.append(HtInterpretation(here, there, sig))
-    return InterpretationSet(tuple(members), sig)
+    return ht_models(Theory((), sig), cap)
 
 
 def ht_models(t: Theory, cap: int = DEFAULT_CAP) -> InterpretationSet:
     """The interpretations over t's signature satisfying every formula of t."""
-    everything = enumerate_interpretations(t.signature, cap)
-    hits = tuple(m for m in everything if _sat_theory(m.here, m.there, t))
-    return InterpretationSet(hits, t.signature)
+    space = _Space(t.signature, cap)
+    return InterpretationSet._of(space, space.theory(t))
 
 
 def ht_countermodels(t: Theory, cap: int = DEFAULT_CAP) -> InterpretationSet:
     """The complement of ht_models; always total-closed."""
-    everything = enumerate_interpretations(t.signature, cap)
-    misses = tuple(m for m in everything if not _sat_theory(m.here, m.there, t))
-    return InterpretationSet(misses, t.signature)
+    space = _Space(t.signature, cap)
+    return InterpretationSet._of(space, space.full ^ space.theory(t))
 
 
 def ht_valid(f: Formula, cap: int = DEFAULT_CAP) -> bool:
@@ -261,11 +307,8 @@ def ht_valid(f: Formula, cap: int = DEFAULT_CAP) -> bool:
     Validity is insensitive to enlarging the signature, so checking over
     the occurring atoms is enough.
     """
-    sig = atoms_of(f)
-    return all(
-        _sat_ht(m.here, m.there, f)
-        for m in enumerate_interpretations(sig, cap)
-    )
+    space = _Space(atoms_of(f), cap)
+    return _tables(f, space.atom, space.full)[0] == space.full
 
 
 @dataclass(frozen=True)
@@ -282,43 +325,24 @@ def ht_equivalent(
     """Equivalence in here-and-there, decided over the union signature.
 
     By the known characterization this coincides with strong equivalence
-    of the two theories.
+    of the two theories.  The witness is the first differing
+    interpretation in canonical order.
     """
-    union_sig = t1.signature | t2.signature
-    left = t1.with_signature(union_sig)
-    right = t2.with_signature(union_sig)
-    for m in enumerate_interpretations(union_sig, cap):
-        sat_left = _sat_theory(m.here, m.there, left)
-        if sat_left != _sat_theory(m.here, m.there, right):
-            return EquivalenceResult(False, m)
-    return EquivalenceResult(True)
+    space = _Space(t1.signature | t2.signature, cap)
+    differ = space.theory(t1) ^ space.theory(t2)
+    if not differ:
+        return EquivalenceResult(True)
+    return EquivalenceResult(False, next(space.members(differ)))
 
 
 def equilibrium_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> tuple[frozenset[str], ...]:
     """All Y with (Y, Y) a model of t and no (X, Y), X proper, a model."""
-    sig = t.signature
-    n = len(sig)
-    if n > cap:
-        raise CapExceededError(n, cap)
-    atoms = tuple(sig)
-    found = []
-    for ymask in range(1 << n):
-        there = frozenset(a for i, a in enumerate(atoms) if (ymask >> i) & 1)
-        if not _sat_theory(there, there, t):
-            continue
-        minimal = True
-        for xmask in _submasks(ymask):
-            if xmask == ymask:
-                continue
-            here = frozenset(a for i, a in enumerate(atoms) if (xmask >> i) & 1)
-            if _sat_theory(here, there, t):
-                minimal = False
-                break
-        if minimal:
-            found.append(there)
-    return tuple(found)
+    space = _Space(t.signature, cap)
+    models = space.theory(t)
+    stable = models & space.total & ~space.project(models & ~space.total)
+    return tuple(space.names[y] for y in space.totals(stable))
 
 
 def strong_equivalence_probe(

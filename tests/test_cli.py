@@ -1,7 +1,9 @@
 """The command-line interface: outputs, formats, exit codes."""
 
+import decimal
 import io
 import json
+import math
 import sys
 
 import pytest
@@ -204,6 +206,23 @@ class TestToDnf:
         assert len(lines) == 21
         assert lines[0] == "~p & ~q & ~r  % clause 1: ∅ | ∅"
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_many_models_verified(self, capsys, tmp_path, fmt):
+        # 1458 models give a 1458-deep disjunction to print and check.
+        path = write(tmp_path, "em.lp", "a | ~a\n")
+        code, out, _ = run_cli(
+            capsys, "to-dnf", path, "--signature", "a b c d e f g",
+            "--verify", "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "structured":
+            doc = json.loads(out)
+            dnf, verdict = doc["results"]["dnf"], doc["verification"]
+        else:
+            dnf, verdict = out.splitlines()
+        assert verdict == "VERIFIED"
+        assert dnf.count(" | ") == 1457
+
 
 class TestCheckEquiv:
     def test_equivalent(self, capsys, tmp_path, formula2_file):
@@ -257,7 +276,24 @@ class TestCount:
     def test_bound_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "65")
         assert code == 3
-        assert "n <= 64" in err
+        assert "n <= 12" in err
+
+    def test_prints_past_the_int_to_str_digit_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run_cli(capsys, "count", "9")
+        assert code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        expected = math.prod(
+            (2 ** (2**i - 1) + 1) ** math.comb(9, i) for i in range(10)
+        )
+        assert len(out.strip()) == 5776
+        # Decimal compares exactly without converting through int <-> str.
+        assert decimal.Decimal(out.strip()) == decimal.Decimal(expected)
+
+    def test_beyond_the_bound_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "count", "13")
+        assert code == 3 and out == ""
+        assert "n <= 12" in err
 
 
 class TestErrors:
@@ -276,6 +312,12 @@ class TestErrors:
         code, _, err = run_cli(capsys, "models", formula2_file, "--cap", "2")
         assert code == 3
         assert "cap of 2" in err
+
+    def test_negative_cap_rejected(self, capsys, formula2_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["models", formula2_file, "--cap", "-1"])
+        assert exit_info.value.code == 2
+        assert "--cap" in capsys.readouterr().err
 
     def test_large_cap_needs_acknowledgment(self, capsys, formula2_file):
         code, _, err = run_cli(capsys, "models", formula2_file, "--cap", "25")

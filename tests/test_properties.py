@@ -1,0 +1,141 @@
+"""Differential property tests: the table evaluator against the reference.
+
+Random theories over at most five atoms; every answer of htlp's
+semantics must equal the one-interpretation-at-a-time reference in
+ht_reference.py, listings in the same order.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ht_reference as ref
+from htlp import (
+    BOT,
+    And,
+    Atom,
+    HtInterpretation,
+    Implies,
+    InterpretationSet,
+    Or,
+    Signature,
+    Theory,
+    atoms_of,
+    enumerate_interpretations,
+    equilibrium_models,
+    ht_countermodels,
+    ht_equivalent,
+    ht_models,
+    ht_valid,
+    neg,
+    sat_classical,
+    sat_ht,
+)
+
+ATOMS = ("a", "b", "c", "d", "e")
+
+# The same examples on every run, and nothing written to disk.
+fixed = settings(derandomize=True, database=None, deadline=None)
+
+formulas = st.recursive(
+    st.just(BOT) | st.sampled_from(ATOMS).map(Atom),
+    lambda sub: st.builds(And, sub, sub) | st.builds(Or, sub, sub)
+    | st.builds(Implies, sub, sub),
+    max_leaves=10,
+)
+
+
+@st.composite
+def theories(draw, max_formulas=3):
+    fs = tuple(draw(st.lists(formulas, max_size=max_formulas)))
+    extra = draw(st.sets(st.sampled_from(ATOMS), max_size=2))
+    occurring = Signature(a for f in fs for a in atoms_of(f))
+    return Theory(fs, occurring | Signature(extra))
+
+
+def pairs(s: InterpretationSet) -> list:
+    return [(m.here, m.there) for m in s]
+
+
+@fixed
+@given(theories())
+def test_model_listings(t):
+    assert pairs(ht_models(t)) == ref.models(t)
+    assert pairs(ht_countermodels(t)) == ref.countermodels(t)
+
+
+@fixed
+@given(theories())
+def test_equilibrium_models(t):
+    assert list(equilibrium_models(t)) == ref.equilibrium_models(t)
+
+
+@fixed
+@given(formulas)
+def test_validity(f):
+    assert ht_valid(f) == ref.valid(f, atoms_of(f))
+
+
+@fixed
+@given(theories(), theories())
+def test_equivalence_verdict_and_witness(t1, t2):
+    outcome = ht_equivalent(t1, t2)
+    witness = ref.equivalence_witness(t1, t2)
+    assert outcome.equivalent == (witness is None)
+    if witness is not None:
+        assert (outcome.witness.here, outcome.witness.there) == witness
+
+
+@fixed
+@given(theories(max_formulas=1), st.data())
+def test_equivalence_with_a_near_copy(t, data):
+    # A random partner rarely agrees with t; a weakened copy often does,
+    # and then differs late in canonical order or not at all.
+    weakened = Theory(tuple(Or(f, data.draw(formulas)) for f in t.formulas))
+    outcome = ht_equivalent(t, weakened)
+    witness = ref.equivalence_witness(t, weakened)
+    assert outcome.equivalent == (witness is None)
+    if witness is not None:
+        assert (outcome.witness.here, outcome.witness.there) == witness
+
+
+@st.composite
+def interpretation_sets(draw):
+    sig = Signature(draw(st.sets(st.sampled_from(ATOMS), max_size=4)))
+    space = list(enumerate_interpretations(sig))
+    members = draw(st.lists(st.sampled_from(space), max_size=len(space)))
+    return sig, members
+
+
+@fixed
+@given(interpretation_sets())
+def test_total_closure_violation(drawn):
+    sig, members = drawn
+    s = InterpretationSet(tuple(members), sig)
+    drawn_pairs = {(m.here, m.there) for m in members}
+    expected_members = [p for p in ref.interpretations(sig) if p in drawn_pairs]
+    assert pairs(s) == expected_members
+    violation = s.total_closure_violation()
+    expected = ref.closure_violation(expected_members, sig)
+    if expected is None:
+        assert violation is None and s.is_total_closed()
+    else:
+        total, missing = violation
+        assert ((total.here, total.there), (missing.here, missing.there)) == expected
+
+
+@fixed
+@given(formulas, st.sets(st.sampled_from(ATOMS), max_size=1))
+def test_satisfaction_at_every_point(f, extra):
+    sig = atoms_of(f) | Signature(extra)
+    for here, there in ref.interpretations(sig):
+        point = HtInterpretation(here, there, sig)
+        assert sat_ht(point, f) == ref.sat_ht(here, there, f)
+        assert sat_classical(there, f) == ref.sat_classical(there, f)
+
+
+def test_deep_negation_chain_needs_no_recursion():
+    f = Atom("a")
+    for _ in range(5000):
+        f = neg(f)
+    t = Theory((f,))
+    assert pairs(ht_models(t)) == pairs(ht_models(Theory((neg(neg(Atom("a"))),))))
