@@ -17,8 +17,7 @@ import sys
 from typing import Optional
 
 from .counting import CountBoundExceededError, count_formula, factor_table
-from .countermodels import theory_to_program_cm
-from .dnf import theory_to_dnf_clauses
+from .countermodels import theory_to_dnf_clauses, theory_to_program_cm
 from .formula import (
     Program,
     Signature,
@@ -49,6 +48,17 @@ EXIT_CAP_EXCEEDED = 3
 CAP_ACK_LIMIT = 20
 
 
+def _atom_count(text: str) -> int:
+    """argparse's int for a number of atoms, which cannot be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number of atoms, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htlp",
@@ -73,7 +83,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             default="text", help="output format",
         )
         cmd.add_argument(
-            "--cap", type=int, default=DEFAULT_CAP,
+            "--cap", type=_atom_count, default=DEFAULT_CAP,
             help=f"enumeration cap in atoms (default {DEFAULT_CAP})",
         )
         cmd.add_argument(
@@ -132,7 +142,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "count", help="count programs modulo strong equivalence"
     )
     count.set_defaults(func=_cmd_count)
-    count.add_argument("n", type=int, help="number of atoms")
+    count.add_argument("n", type=_atom_count, help="number of atoms")
     count.add_argument("--verbose", action="store_true",
                        help="also print the per-size factor table")
     count.add_argument("--format", dest="fmt", choices=("text", "structured"),
@@ -253,7 +263,7 @@ def _cmd_to_program(args: argparse.Namespace) -> int:
 def _cmd_to_dnf(args: argparse.Namespace) -> int:
     theory = _load_theory(args)
     clauses = theory_to_dnf_clauses(theory, args.cap)
-    formula = disj(dict.fromkeys(c.clause for c in clauses))
+    formula = disj(c.clause for c in clauses)
     verification = None
     if args.verify:
         outcome = ht_equivalent(theory, Theory((formula,), theory.signature), args.cap)
@@ -330,10 +340,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "cap", 0) < 0:
-        parser.error(f"argument --cap: expected a number of atoms, got {args.cap}")
+    args = build_arg_parser().parse_args(argv)
     if getattr(args, "cap", 0) > CAP_ACK_LIMIT and not args.allow_large:
         print(
             f"error: --cap {args.cap} exceeds {CAP_ACK_LIMIT}; "
@@ -353,6 +360,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CAP_EXCEEDED
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except RecursionError:  # the parser and printers recurse on nesting
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
 

@@ -6,26 +6,17 @@ classes.  The closed form
 
     product over i = 0..n of (2^(2^i - 1) + 1) ^ C(n, i)
 
-is checked here against two independent brute-force paths: a raw filter
-over all subsets of the interpretation space, and a per-there-set
-product that enumerates the admissible choices for each column
-separately.  Everything is exact integer arithmetic.
+is exact integer arithmetic.  The tests check it against two
+brute-force counts (tests/count_reference.py).
 """
 
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
-from itertools import combinations
-
-from .formula import Signature
-from .semantics import InterpretationSet, enumerate_interpretations
 
 #: The count has about 3^n bits; n = 12 has 158,754 decimal digits.
 FORMULA_MAX_N = 12
-BRUTEFORCE_MAX_N = 4
-FILTER_MAX_N = 2
 
 
 class CountBoundExceededError(ValueError):
@@ -54,53 +45,3 @@ def factor_table(n: int) -> list[tuple[int, int, int]]:
     if n < 0 or n > FORMULA_MAX_N:
         raise CountBoundExceededError(n, FORMULA_MAX_N, "factor_table")
     return [(i, math.comb(n, i), 2 ** (2**i - 1) + 1) for i in range(n + 1)]
-
-
-def column_choices_bruteforce(k: int) -> int:
-    """Admissible interpretation sets sharing one there-set of k atoms.
-
-    Candidates are all subsets of the 2^k pairs (X, Y) with X subseteq Y;
-    a candidate is admissible iff containing (Y, Y) forces it to be the
-    whole column.  Checked by direct enumeration.
-    """
-    subsets = 1 << k
-    full = (1 << subsets) - 1
-    total_bit = 1 << (subsets - 1)  # X = Y is the largest submask
-    count = 0
-    for candidate in range(1 << subsets):
-        if not candidate & total_bit or candidate == full:
-            count += 1
-    return count
-
-
-def count_bruteforce(n: int) -> ProgramCount:
-    """Total-closed set count via the per-column independence argument.
-
-    Columns with different there-sets are independent, so the total is
-    the product of the per-column counts, each obtained by enumeration.
-    """
-    if n < 0 or n > BRUTEFORCE_MAX_N:
-        raise CountBoundExceededError(n, BRUTEFORCE_MAX_N, "count_bruteforce")
-    per_size = {k: column_choices_bruteforce(k) for k in range(n + 1)}
-    value = 1
-    for ymask in range(1 << n):
-        value *= per_size[ymask.bit_count()]
-    return ProgramCount(n, value)
-
-
-def count_subset_filter(n: int) -> ProgramCount:
-    """Total-closed set count by filtering every subset of the 3^n space.
-
-    The entirely unoptimized oracle; only feasible for n <= 2
-    (2^(3^n) candidate subsets).
-    """
-    if n < 0 or n > FILTER_MAX_N:
-        raise CountBoundExceededError(n, FILTER_MAX_N, "count_subset_filter")
-    sig = Signature(string.ascii_lowercase[:n])
-    interps = tuple(enumerate_interpretations(sig))
-    count = 0
-    for size in range(len(interps) + 1):
-        for subset in combinations(interps, size):
-            if InterpretationSet(subset, sig).is_total_closed():
-                count += 1
-    return ProgramCount(n, count)

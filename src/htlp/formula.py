@@ -130,17 +130,14 @@ class Signature:
     def __or__(self, other: "Signature") -> "Signature":
         return Signature(self.atoms + other.atoms)
 
-    def issubset(self, other: "Signature") -> bool:
-        return set(self.atoms) <= set(other.atoms)
-
     def __repr__(self) -> str:
         return "{%s}" % ", ".join(self.atoms)
 
 
-def atoms_of(f: Formula) -> Signature:
-    """The atoms occurring in f, in canonical order."""
+def atoms_of(*formulas: Formula) -> Signature:
+    """The atoms occurring in the formulas, in canonical order."""
     names: set[str] = set()
-    stack = [f]
+    stack = list(formulas)
     while stack:
         node = stack.pop()
         if isinstance(node, Atom):
@@ -152,6 +149,16 @@ def atoms_of(f: Formula) -> Signature:
             stack.append(node.antecedent)
             stack.append(node.consequent)
     return Signature(names)
+
+
+def _covering(signature: Optional[Signature], formulas: Iterable[Formula]) -> Signature:
+    """signature, by default the formulas' atoms, which it must cover."""
+    occurring = atoms_of(*formulas)
+    signature = occurring if signature is None else signature
+    extra = set(occurring) - set(signature)
+    if extra:
+        raise ValueError(f"signature is missing occurring atoms: {sorted(extra)}")
+    return signature
 
 
 @dataclass(frozen=True)
@@ -167,16 +174,7 @@ class Theory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "formulas", tuple(self.formulas))
-        occurring = Signature(
-            name for f in self.formulas for name in atoms_of(f)
-        )
-        if self.signature is None:
-            object.__setattr__(self, "signature", occurring)
-        elif not occurring.issubset(self.signature):
-            extra = set(occurring) - set(self.signature)
-            raise ValueError(
-                f"signature is missing occurring atoms: {sorted(extra)}"
-            )
+        object.__setattr__(self, "signature", _covering(self.signature, self.formulas))
 
     def union(self, other: "Theory") -> "Theory":
         """Set union of the two theories over the union signature."""
@@ -301,18 +299,8 @@ class Program:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
-        occurring = Signature(
-            name
-            for r in self.rules
-            for name in atoms_of(r.to_formula())
-        )
-        if self.signature is None:
-            object.__setattr__(self, "signature", occurring)
-        elif not occurring.issubset(self.signature):
-            extra = set(occurring) - set(self.signature)
-            raise ValueError(
-                f"signature is missing occurring atoms: {sorted(extra)}"
-            )
+        sides = (side for r in self.rules for side in (r.body, r.head))
+        object.__setattr__(self, "signature", _covering(self.signature, sides))
 
     def is_nonnested(self) -> bool:
         return all(r.is_nonnested() for r in self.rules)

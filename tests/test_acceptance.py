@@ -18,9 +18,7 @@ from htlp import (
     Theory,
     build_clause,
     build_rule,
-    count_bruteforce,
     count_formula,
-    count_subset_filter,
     enumerate_interpretations,
     equilibrium_models,
     estimated_rule_count,
@@ -37,6 +35,7 @@ from htlp import (
 )
 from htlp.cli import main
 from conftest import random_formula, single
+from count_reference import count_bruteforce, count_subset_filter
 
 AB = Signature(["a", "b"])
 PQR = Signature(["p", "q", "r"])

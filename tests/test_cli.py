@@ -295,8 +295,31 @@ class TestCount:
         assert code == 3 and out == ""
         assert "n <= 12" in err
 
+    def test_negative_n_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["count", "-1"])
+        assert exit_info.value.code == 2
+        assert "expected a number of atoms" in capsys.readouterr().err
+
+
+DEEP_INPUTS = {
+    "negations": "~" * 3000 + "a\n",
+    "parentheses": "(" * 2000 + "a" + ")" * 2000 + "\n",
+    "implications": " -> ".join(["a"] * 1501) + "\n",
+}
+
 
 class TestErrors:
+    @pytest.mark.parametrize("shape", sorted(DEEP_INPUTS))
+    @pytest.mark.parametrize(
+        "command", [["models"], ["to-program", "--method", "syntactic"], ["to-dnf"]]
+    )
+    def test_deep_nesting_exit_2(self, capsys, tmp_path, command, shape):
+        path = write(tmp_path, "deep.lp", DEEP_INPUTS[shape])
+        code, _, err = run_cli(capsys, *command, path)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.lp", "p -> (q\n")
         code, _, err = run_cli(capsys, "models", path)

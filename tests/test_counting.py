@@ -2,13 +2,9 @@
 
 import pytest
 
-from htlp import (
-    CountBoundExceededError,
-    count_bruteforce,
-    count_formula,
-    count_subset_filter,
-)
-from htlp.counting import column_choices_bruteforce, factor_table
+from count_reference import column_choices_bruteforce, count_bruteforce, count_subset_filter
+from htlp import CountBoundExceededError, count_formula
+from htlp.counting import factor_table
 
 
 class TestClosedForm:

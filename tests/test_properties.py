@@ -27,8 +27,11 @@ from htlp import (
     ht_models,
     ht_valid,
     neg,
+    program_from_set,
     sat_classical,
     sat_ht,
+    theory_to_dnf,
+    theory_to_dnf_clauses,
 )
 
 ATOMS = ("a", "b", "c", "d", "e")
@@ -131,6 +134,24 @@ def test_satisfaction_at_every_point(f, extra):
         point = HtInterpretation(here, there, sig)
         assert sat_ht(point, f) == ref.sat_ht(here, there, f)
         assert sat_classical(there, f) == ref.sat_classical(there, f)
+
+
+@fixed
+@given(theories())
+def test_countermodel_program_has_one_rule_per_countermodel(t):
+    countermodels = ht_countermodels(t)
+    program = program_from_set(countermodels)
+    assert len(program) == len(set(program.rules)) == len(countermodels)
+    assert ht_countermodels(program.to_theory()) == countermodels
+
+
+@fixed
+@given(theories())
+def test_dnf_has_one_distinct_clause_per_model(t):
+    clauses = theory_to_dnf_clauses(t)
+    assert [c.source for c in clauses] == list(ht_models(t))
+    assert len({c.clause for c in clauses}) == len(clauses)
+    assert ht_equivalent(t, Theory((theory_to_dnf(t),), t.signature)).equivalent
 
 
 def test_deep_negation_chain_needs_no_recursion():
