@@ -101,19 +101,23 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 
 class Signature:
-    """Finite set of atom names, always iterated in name order."""
+    """Finite set of atom names, always iterated in name order.
 
-    __slots__ = ("atoms",)
+    atoms is the sorted tuple of the names, names the same names as a
+    frozenset, for membership and subset tests without allocation.
+    """
+
+    __slots__ = ("atoms", "names")
 
     def __init__(self, atoms: Iterable[str] = ()) -> None:
-        names = sorted(set(atoms))
-        for name in names:
+        self.names: frozenset[str] = frozenset(atoms)
+        self.atoms: tuple[str, ...] = tuple(sorted(self.names))
+        for name in self.atoms:
             if not is_valid_atom_name(name):
                 raise ValueError(f"invalid atom name: {name!r}")
-        self.atoms: tuple[str, ...] = tuple(names)
 
     def __contains__(self, name: object) -> bool:
-        return name in self.atoms
+        return name in self.names
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.atoms)
@@ -155,7 +159,7 @@ def _covering(signature: Optional[Signature], formulas: Iterable[Formula]) -> Si
     """signature, by default the formulas' atoms, which it must cover."""
     occurring = atoms_of(*formulas)
     signature = occurring if signature is None else signature
-    extra = set(occurring) - set(signature)
+    extra = occurring.names - signature.names
     if extra:
         raise ValueError(f"signature is missing occurring atoms: {sorted(extra)}")
     return signature

@@ -224,25 +224,45 @@ def formula_to_program_syn(
     return Program(rules, atoms_of(f))
 
 
+#: estimated_rule_count saturates here; below it the count is exact.
+RULE_COUNT_CEILING = 1 << 64
+
+
 def estimated_rule_count(f: Formula) -> int:
-    """Exact rule count of the literal (unsimplified) construction.
+    """Rule count of the literal (unsimplified) construction, saturating.
 
     An implication of programs with m and n rules produces 2^m * n rules,
-    so nested implications grow doubly exponentially once disjunctions
-    are encoded away.  Computing the count first makes it cheap to decide
-    whether materializing the raw construction is feasible.
+    and F | G is encoded as ((F -> G) -> G) & ((G -> F) -> F), so nested
+    implications and disjunctions grow doubly exponentially.  The count is
+    exact below RULE_COUNT_CEILING and is RULE_COUNT_CEILING otherwise:
+    every step is at least as large as its operands, so a saturated step
+    can only lead to a saturated result.  The count never encodes the
+    disjunctions and never computes a number beyond the ceiling squared,
+    so it is cheap even where the construction is infeasible.
     """
+
+    def implication(m: int, n: int) -> int:
+        if m >= RULE_COUNT_CEILING.bit_length():
+            return RULE_COUNT_CEILING
+        return min(RULE_COUNT_CEILING, (1 << m) * n)
 
     def count(g: Formula) -> int:
         if isinstance(g, (Atom, Bottom)):
             return 1
-        if isinstance(g, And):
-            return count(g.left) + count(g.right)
         if isinstance(g, Implies):
-            return (1 << count(g.antecedent)) * count(g.consequent)
-        raise AssertionError("disjunctions must be eliminated before counting")
+            return implication(count(g.antecedent), count(g.consequent))
+        if isinstance(g, And):
+            return min(RULE_COUNT_CEILING, count(g.left) + count(g.right))
+        if isinstance(g, Or):
+            left, right = count(g.left), count(g.right)
+            return min(
+                RULE_COUNT_CEILING,
+                implication(implication(left, right), right)
+                + implication(implication(right, left), left),
+            )
+        raise TypeError(f"not a formula: {g!r}")
 
-    return count(eliminate_connectives(f))
+    return count(f)
 
 
 def theory_to_program_syn(

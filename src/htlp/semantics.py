@@ -23,6 +23,11 @@ here-set mask), but the columns of different there-sets interleave.  So
 ordered scans go through the projection of a set onto its total members
 (Y, Y), n shifted ORs, which also give the equilibrium and closure tests.
 The tables have 3^n bits, hence an explicit cap (default 16 atoms).
+
+Decoding a table into an InterpretationSet builds one checked
+HtInterpretation per member, eagerly and in canonical order.  The members
+share one frozenset per atom mask, so the constructor's checks are two
+subset tests and allocate nothing.
 """
 
 from __future__ import annotations
@@ -65,25 +70,52 @@ def format_atom_set(atoms: Iterable[str]) -> str:
     return " ".join(names) if names else "∅"
 
 
-@dataclass(frozen=True)
 class HtInterpretation:
-    """A pair (here, there) of atom sets over a signature."""
+    """A pair (here, there) of atom sets over a signature; immutable."""
+
+    __slots__ = ("here", "there", "over")
 
     here: frozenset[str]
     there: frozenset[str]
     over: Signature
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "here", frozenset(self.here))
-        object.__setattr__(self, "there", frozenset(self.there))
-        if not self.here <= self.there:
+    def __init__(
+        self, here: Iterable[str], there: Iterable[str], over: Signature
+    ) -> None:
+        here, there = frozenset(here), frozenset(there)
+        if not here <= there:
             raise ValueError(
                 f"here-set must be contained in there-set: "
-                f"{format_atom_set(self.here)} | {format_atom_set(self.there)}"
+                f"{format_atom_set(here)} | {format_atom_set(there)}"
             )
-        if not self.there <= set(self.over):
-            extra = self.there - set(self.over)
+        if not there <= over.names:
+            extra = there - over.names
             raise ValueError(f"atoms outside the signature: {sorted(extra)}")
+        init = object.__setattr__
+        init(self, "here", here)
+        init(self, "there", there)
+        init(self, "over", over)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return HtInterpretation, (self.here, self.there, self.over)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.here == other.here
+            and self.there == other.there
+            and self.over == other.over
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.here, self.there, self.over))
 
     def total(self) -> bool:
         return self.here == self.there
@@ -178,12 +210,13 @@ class _Space:
     ) -> Iterator[HtInterpretation]:
         """table's interpretations in canonical order, from the given totals' columns."""
         bits = table.to_bytes(self.size // 8 + 1, "little")
+        offset, names, sig = self.offset, self.names, self.signature
         for y in self.totals(self.project(table) if columns is None else columns):
-            base, x = self.offset[y], 0
+            base, there, x = offset[y], names[y], 0
             while True:
-                p = base + self.offset[x]
+                p = base + offset[x]
                 if bits[p >> 3] >> (p & 7) & 1:
-                    yield HtInterpretation(self.names[x], self.names[y], self.signature)
+                    yield HtInterpretation(names[x], there, sig)
                 if x == y:
                     break
                 x = (x - y) & y  # the next submask of y
@@ -274,7 +307,7 @@ def sat_ht(interpretation: HtInterpretation, f: Formula) -> bool:
     try:
         return bool(_tables(f, point.__getitem__, 1)[0])
     except KeyError:
-        extra = set(atoms_of(f)) - set(over)
+        extra = atoms_of(f).names - over.names
         raise SignatureMismatchError(
             f"formula mentions atoms outside the signature: {sorted(extra)}"
         ) from None

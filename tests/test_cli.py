@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from htlp import cli
 from htlp.cli import main
 
 FORMULA2 = "(q -> p) | r\n"
@@ -319,6 +320,28 @@ class TestErrors:
         code, _, err = run_cli(capsys, *command, path)
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text", ["p | q | r", "((a|b)->(c|d))->((b|c)->(d|a))"]
+    )
+    def test_raw_rule_budget_exit_3(self, capsys, tmp_path, text):
+        path = write(tmp_path, "big.lp", text + "\n")
+        code, out, err = run_cli(capsys, "to-program", "--method", "syntactic", path)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+
+    def test_raw_rule_budget_boundary(self, capsys, formula2_file, monkeypatch):
+        command = ("to-program", "--method", "syntactic", formula2_file)
+        monkeypatch.setattr(cli, "RAW_RULE_BUDGET", 48)  # the example's raw size
+        assert run_cli(capsys, *command)[0] == 0
+        monkeypatch.setattr(cli, "RAW_RULE_BUDGET", 47)
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the raw syntactic translation has 48 rules, "
+            "over the budget of 47\n"
+        )
+        assert run_cli(capsys, *command, "--simplify")[0] == 0
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.lp", "p -> (q\n")

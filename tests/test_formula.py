@@ -164,6 +164,14 @@ class TestAtoms:
         assert sig | Signature(["c"]) == Signature(["a", "b", "c"])
         assert "a" in sig and "z" not in sig
 
+    def test_signature_membership(self):
+        sig = Signature(["b", "a", "b"]) | Signature(["c"])
+        for name in ("a", "b", "c"):
+            assert name in sig
+        for name in ("d", "ab", "A", "", "bot", 1, None):
+            assert name not in sig
+        assert "a" not in Signature()
+
 
 class TestClassifiers:
     def test_nested_expression(self):

@@ -27,11 +27,13 @@ from htlp import (
     ht_models,
     ht_valid,
     neg,
+    parse,
     program_from_set,
     sat_classical,
     sat_ht,
     theory_to_dnf,
     theory_to_dnf_clauses,
+    to_text,
 )
 
 ATOMS = ("a", "b", "c", "d", "e")
@@ -101,6 +103,17 @@ def test_equivalence_with_a_near_copy(t, data):
         assert (outcome.witness.here, outcome.witness.there) == witness
 
 
+@fixed
+@given(theories())
+def test_decoded_members_equal_their_checked_twins(t):
+    decoded = list(ht_models(t)) + list(ht_countermodels(t))
+    twins = [HtInterpretation(set(m.here), set(m.there), t.signature) for m in decoded]
+    for m, twin in zip(decoded, twins):
+        assert m == twin and hash(m) == hash(twin)
+    position = {twin: i for i, twin in enumerate(twins)}
+    assert [position[m] for m in decoded] == list(range(len(decoded)))
+
+
 @st.composite
 def interpretation_sets(draw):
     sig = Signature(draw(st.sets(st.sampled_from(ATOMS), max_size=4)))
@@ -152,6 +165,12 @@ def test_dnf_has_one_distinct_clause_per_model(t):
     assert [c.source for c in clauses] == list(ht_models(t))
     assert len({c.clause for c in clauses}) == len(clauses)
     assert ht_equivalent(t, Theory((theory_to_dnf(t),), t.signature)).equivalent
+
+
+@fixed
+@given(formulas, st.sampled_from(("raw", "sugared")))
+def test_printer_round_trip(f, style):
+    assert parse(to_text(f, style)) == f
 
 
 def test_deep_negation_chain_needs_no_recursion():

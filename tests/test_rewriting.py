@@ -19,6 +19,7 @@ from htlp import (
     conj,
     disj,
     eliminate_connectives,
+    estimated_rule_count,
     formula_to_program_syn,
     ht_equivalent,
     ht_models,
@@ -33,6 +34,7 @@ from htlp import (
     theory_to_program_syn,
     to_text,
 )
+from htlp.rewriting import RULE_COUNT_CEILING
 from conftest import formulas_up_to, single
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -203,6 +205,28 @@ class TestFormulaToProgram:
         t = Theory((parse("p -> q"), parse("q | r")))
         program = theory_to_program_syn(t)
         assert ht_equivalent(t, program.to_theory()).equivalent
+
+
+class TestEstimatedRuleCount:
+    def test_paper_example(self):
+        f = parse("(q -> p) | r")
+        assert estimated_rule_count(f) == 48
+        assert len(formula_to_program_syn(f)) == 48
+
+    def test_exact_below_the_ceiling(self):
+        antecedent = conj([Atom("a")] * 63)
+        assert estimated_rule_count(Implies(antecedent, Atom("b"))) == 1 << 63
+        assert estimated_rule_count(Implies(antecedent, And(p, q))) == RULE_COUNT_CEILING
+        longer = And(antecedent, Atom("c"))
+        assert estimated_rule_count(Implies(longer, Atom("b"))) == RULE_COUNT_CEILING
+
+    @pytest.mark.parametrize("text", [
+        "((a | b) -> c | d) | (b -> a)",
+        "p | q | r",
+        "((a|b)->(c|d))->((b|c)->(d|a))",
+    ])
+    def test_saturates_instead_of_overflowing(self, text):
+        assert estimated_rule_count(parse(text)) == RULE_COUNT_CEILING
 
 
 class TestWorkedExample:

@@ -1,5 +1,7 @@
 """Here-and-there satisfaction, model sets, equivalence, equilibrium."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -55,6 +57,45 @@ class TestInterpretations:
     def test_display(self):
         assert interp({"q"}, {"p", "q"}).display() == "q | p q"
         assert interp(set(), set()).display() == "∅ | ∅"
+
+    def test_check_messages(self):
+        with pytest.raises(ValueError) as error:
+            interp({"p", "r"}, {"p"})
+        assert str(error.value) == "here-set must be contained in there-set: p r | p"
+        with pytest.raises(ValueError) as error:
+            interp({"p"}, {"p", "z", "y"})
+        assert str(error.value) == "atoms outside the signature: ['y', 'z']"
+
+    def test_immutable(self):
+        m = interp({"p"}, {"p", "q"})
+        for field in ("here", "there", "over"):
+            with pytest.raises(AttributeError):
+                setattr(m, field, frozenset())
+            with pytest.raises(AttributeError):
+                delattr(m, field)
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert m.here == {"p"} and m.there == {"p", "q"} and m.over == PQR
+
+    def test_coerces_to_shared_frozensets(self):
+        here, there = frozenset({"p"}), frozenset({"p", "q"})
+        m = HtInterpretation(here, there, PQR)
+        assert m.here is here and m.there is there
+        listed = HtInterpretation(["p"], ("q", "p"), PQR)
+        assert type(listed.here) is frozenset and listed == m
+
+    def test_equality_and_hash(self):
+        m = interp({"p"}, {"p", "q"})
+        twin = interp({"p"}, {"q", "p"})
+        assert m == twin and hash(m) == hash(twin)
+        assert hash(m) == hash((m.here, m.there, m.over))
+        assert m != interp({"p"}, {"p", "q"}, Signature(["p", "q"]))
+        assert m != interp(set(), {"p", "q"}) and m != (m.here, m.there, m.over)
+
+    def test_copy_and_pickle(self):
+        m = interp({"p"}, {"p", "q"})
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and repr(twin) == "(p | p q)"
 
 
 class TestSatisfaction:
