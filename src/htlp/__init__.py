@@ -7,6 +7,8 @@ strongly equivalent logic programs by two independent constructions, and
 count programs modulo strong equivalence.
 """
 
+from types import ModuleType as _ModuleType
+
 from .formula import (
     BOT,
     TOP,
@@ -33,7 +35,7 @@ from .formula import (
     rule_to_text,
     to_text,
 )
-from .parser import ParseError, load_theory, parse, parse_theory
+from .parser import ParseError, parse, parse_theory
 from .semantics import (
     DEFAULT_CAP,
     CapExceededError,
@@ -41,7 +43,6 @@ from .semantics import (
     HtInterpretation,
     InterpretationSet,
     SignatureMismatchError,
-    enumerate_interpretations,
     equilibrium_models,
     format_atom_set,
     ht_countermodels,
@@ -50,7 +51,6 @@ from .semantics import (
     ht_valid,
     sat_classical,
     sat_ht,
-    strong_equivalence_probe,
 )
 from .countermodels import (
     CountermodelRule,
@@ -69,8 +69,6 @@ from .rewriting import (
     eliminate_connectives,
     estimated_rule_count,
     formula_to_program_syn,
-    implication_of_programs,
-    lemma1_rewrite,
     simplify,
     theory_to_program_syn,
 )
@@ -78,70 +76,8 @@ from .counting import CountBoundExceededError, ProgramCount, count_formula
 
 __version__ = "0.1.0"
 
+# The imports above are the export list: every public name but the modules.
 __all__ = [
-    "BOT",
-    "TOP",
-    "And",
-    "Atom",
-    "Bottom",
-    "CapExceededError",
-    "CountBoundExceededError",
-    "CountermodelRule",
-    "DEFAULT_CAP",
-    "DnfClause",
-    "EquivalenceResult",
-    "Formula",
-    "HtInterpretation",
-    "Implies",
-    "InterpretationSet",
-    "NotTotalClosedError",
-    "Or",
-    "ParseError",
-    "Program",
-    "ProgramCount",
-    "RewriteTrace",
-    "Rule",
-    "Signature",
-    "SignatureMismatchError",
-    "Theory",
-    "TraceStep",
-    "atoms_of",
-    "build_clause",
-    "build_rule",
-    "conj",
-    "count_formula",
-    "disj",
-    "eliminate_connectives",
-    "enumerate_interpretations",
-    "equilibrium_models",
-    "estimated_rule_count",
-    "format_atom_set",
-    "formula_to_program_syn",
-    "ht_countermodels",
-    "ht_equivalent",
-    "ht_models",
-    "ht_valid",
-    "iff",
-    "implication_of_programs",
-    "is_literal",
-    "is_nested_expression",
-    "is_nonnested_rule",
-    "is_rule",
-    "lemma1_rewrite",
-    "load_theory",
-    "neg",
-    "parse",
-    "parse_theory",
-    "program_from_set",
-    "program_to_text",
-    "rule_to_text",
-    "sat_classical",
-    "sat_ht",
-    "simplify",
-    "strong_equivalence_probe",
-    "theory_to_dnf",
-    "theory_to_dnf_clauses",
-    "theory_to_program_cm",
-    "theory_to_program_syn",
-    "to_text",
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

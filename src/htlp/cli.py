@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .counting import CountBoundExceededError, count_formula, factor_table
 from .countermodels import theory_to_dnf_clauses, theory_to_program_cm
@@ -33,7 +34,6 @@ from .rewriting import (
     RULE_COUNT_CEILING,
     RewriteTrace,
     estimated_rule_count,
-    simplify,
     theory_to_program_syn,
 )
 from .semantics import (
@@ -250,10 +250,8 @@ def _translate(args: argparse.Namespace, theory: Theory) -> Program:
     if len(theory.signature) > args.cap:
         raise CapExceededError(len(theory.signature), args.cap)
     if args.method == "countermodel":
-        program = theory_to_program_cm(theory, args.mode, args.cap)
-        if args.simplify:
-            program = simplify(program, args.cap)
-        return program
+        # Already in simplify()'s normal form, so --simplify changes nothing.
+        return theory_to_program_cm(theory, args.mode, args.cap)
     if not args.simplify:
         needed = sum(estimated_rule_count(f) for f in theory.formulas)
         if needed > RAW_RULE_BUDGET:
@@ -265,13 +263,21 @@ def _translate(args: argparse.Namespace, theory: Theory) -> Program:
     return program
 
 
+def _verify(
+    args: argparse.Namespace, theory: Theory, translated: Callable[[], Theory]
+) -> tuple[Optional[str], int]:
+    """--verify's verdict on the translation of theory, and the exit code."""
+    if not args.verify:
+        return None, EXIT_OK
+    if ht_equivalent(theory, translated(), args.cap).equivalent:
+        return "VERIFIED", EXIT_OK
+    return "FAILED", EXIT_CHECK_FAILED
+
+
 def _cmd_to_program(args: argparse.Namespace) -> int:
     theory = _load_theory(args)
     program = _translate(args, theory)
-    verification = None
-    if args.verify:
-        outcome = ht_equivalent(theory, program.to_theory(), args.cap)
-        verification = "VERIFIED" if outcome.equivalent else "FAILED"
+    verification, code = _verify(args, theory, program.to_theory)
     if args.fmt == "structured":
         _emit_structured(args, theory.signature, {
             "method": args.method,
@@ -285,17 +291,16 @@ def _cmd_to_program(args: argparse.Namespace) -> int:
             print(text)
         if verification is not None:
             print(verification)
-    return EXIT_CHECK_FAILED if verification == "FAILED" else EXIT_OK
+    return code
 
 
 def _cmd_to_dnf(args: argparse.Namespace) -> int:
     theory = _load_theory(args)
     clauses = theory_to_dnf_clauses(theory, args.cap)
     formula = disj(c.clause for c in clauses)
-    verification = None
-    if args.verify:
-        outcome = ht_equivalent(theory, Theory((formula,), theory.signature), args.cap)
-        verification = "VERIFIED" if outcome.equivalent else "FAILED"
+    verification, code = _verify(
+        args, theory, lambda: Theory((formula,), theory.signature)
+    )
     if args.fmt == "structured":
         _emit_structured(args, theory.signature, {
             "dnf": to_text(formula),
@@ -312,7 +317,7 @@ def _cmd_to_dnf(args: argparse.Namespace) -> int:
             print(to_text(formula))
         if verification is not None:
             print(verification)
-    return EXIT_CHECK_FAILED if verification == "FAILED" else EXIT_OK
+    return code
 
 
 def _cmd_check_equiv(args: argparse.Namespace) -> int:
@@ -345,20 +350,14 @@ def _decimal(value: int) -> str:
 def _cmd_count(args: argparse.Namespace) -> int:
     result = count_formula(args.n)
     if args.fmt == "structured":
-        document = {
-            "command": "count",
-            "signature": [],
-            "results": {
-                "n": result.n,
-                "value": _decimal(result.value),
-                "factors": [
-                    {"i": i, "binomial": binom, "factor": str(factor)}
-                    for i, binom, factor in factor_table(args.n)
-                ],
-            },
-            "verification": None,
-        }
-        print(json.dumps(document, indent=2))
+        _emit_structured(args, Signature(), {
+            "n": result.n,
+            "value": _decimal(result.value),
+            "factors": [
+                {"i": i, "binomial": binom, "factor": str(factor)}
+                for i, binom, factor in factor_table(args.n)
+            ],
+        })
         return EXIT_OK
     if args.verbose:
         for i, binom, factor in factor_table(args.n):
@@ -397,6 +396,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
+    # A reader that closes the pipe early ends htlp quietly, as it ends cat.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

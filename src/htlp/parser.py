@@ -226,8 +226,3 @@ def parse_theory(text: str, signature: Optional[Signature] = None) -> Theory:
         formulas.append(parse(line, start_line=lineno))
     occurring = Theory(tuple(formulas)).signature
     return Theory(tuple(formulas), occurring | Signature(extra))
-
-
-def load_theory(path: str, signature: Optional[Signature] = None) -> Theory:
-    with open(path, encoding="utf-8") as handle:
-        return parse_theory(handle.read(), signature)

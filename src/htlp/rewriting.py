@@ -104,13 +104,6 @@ def eliminate_connectives(
     raise TypeError(f"not a formula: {f!r}")
 
 
-def lemma1_rewrite(
-    f: Formula, g: Formula, k: Formula
-) -> tuple[Formula, Formula]:
-    """Two rule-shaped formulas jointly equivalent to (F -> G) -> K."""
-    return Implies(Or(g, neg(f)), k), Or(Or(k, f), neg(g))
-
-
 def _implication(
     rules1: tuple[Rule, ...],
     rules2: tuple[Rule, ...],
@@ -162,14 +155,6 @@ def _implication(
         )
     composed = _implication(inner, rules2, trace, simplify_steps, cap)
     return _implication(outer, composed, trace, simplify_steps, cap)
-
-
-def implication_of_programs(
-    p1: Program, p2: Program, trace: Optional[RewriteTrace] = None
-) -> Program:
-    """A program equivalent to (conjunction of p1) -> (conjunction of p2)."""
-    rules = _implication(tuple(p1.rules), tuple(p2.rules), trace)
-    return Program(rules, p1.signature | p2.signature)
 
 
 def _convert(

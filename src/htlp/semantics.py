@@ -315,13 +315,6 @@ def sat_ht(interpretation: HtInterpretation, f: Formula) -> bool:
 
 # --- model sets --------------------------------------------------------
 
-def enumerate_interpretations(
-    sig: Signature, cap: int = DEFAULT_CAP
-) -> InterpretationSet:
-    """All 3^n pairs (X, Y) with X subseteq Y subseteq sig, canonically ordered."""
-    return ht_models(Theory((), sig), cap)
-
-
 def ht_models(t: Theory, cap: int = DEFAULT_CAP) -> InterpretationSet:
     """The interpretations over t's signature satisfying every formula of t."""
     space = _Space(t.signature, cap)
@@ -376,18 +369,3 @@ def equilibrium_models(
     models = space.theory(t)
     stable = models & space.total & ~space.project(models & ~space.total)
     return tuple(space.names[y] for y in space.totals(stable))
-
-
-def strong_equivalence_probe(
-    t1: Theory, t2: Theory, context: Theory, cap: int = DEFAULT_CAP
-) -> bool:
-    """Behavioral strong-equivalence test for one added context theory.
-
-    True iff t1 + context and t2 + context have the same equilibrium
-    models over the union signature.  This is a spot check of
-    ht_equivalent, not a replacement for it.
-    """
-    union_sig = t1.signature | t2.signature | context.signature
-    left = t1.with_signature(union_sig).union(context)
-    right = t2.with_signature(union_sig).union(context)
-    return equilibrium_models(left, cap) == equilibrium_models(right, cap)

@@ -16,8 +16,8 @@ from htlp import (
     InterpretationSet,
     ProgramCount,
     Signature,
-    enumerate_interpretations,
 )
+from api_reference import enumerate_interpretations
 
 BRUTEFORCE_MAX_N = 4
 FILTER_MAX_N = 2

@@ -19,13 +19,11 @@ from htlp import (
     build_clause,
     build_rule,
     count_formula,
-    enumerate_interpretations,
     equilibrium_models,
     estimated_rule_count,
     formula_to_program_syn,
     ht_equivalent,
     iff,
-    lemma1_rewrite,
     neg,
     parse,
     rule_to_text,
@@ -34,6 +32,7 @@ from htlp import (
     theory_to_program_syn,
 )
 from htlp.cli import main
+from api_reference import enumerate_interpretations, lemma1_rewrite
 from conftest import random_formula, single
 from count_reference import count_bruteforce, count_subset_filter
 

@@ -4,6 +4,9 @@ import decimal
 import io
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
 
 import pytest
@@ -164,6 +167,16 @@ class TestToProgram:
         )
         assert code == 0
         assert out.splitlines()[-1] == "VERIFIED"
+
+    @pytest.mark.parametrize("mode", ["whole", "per_formula"])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_countermodel_simplify_changes_nothing(
+        self, capsys, formula2_file, mode, fmt
+    ):
+        argv = ("to-program", "--method", "countermodel", "--mode", mode,
+                "--format", fmt, formula2_file)
+        plain = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--simplify") == plain
 
     def test_structured_includes_rules(self, capsys, formula2_file):
         code, out, _ = run_cli(
@@ -374,3 +387,20 @@ class TestErrors:
         )
         assert code == 0
         assert len(out.splitlines()) == 21
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_closed_output_pipe_ends_quietly(self, tmp_path):
+        # count 12 prints 158,754 digits, more than a pipe buffer holds, so
+        # htlp is still writing when the reader goes away.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        with open(tmp_path / "stderr", "wb") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "htlp.cli", "count", "12"],
+                stdout=subprocess.PIPE, stderr=err,
+                env=dict(os.environ, PYTHONPATH=path),
+            )
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            assert child.wait(timeout=60) == -signal.SIGPIPE
+        assert (tmp_path / "stderr").read_bytes() == b""

@@ -12,7 +12,6 @@ from htlp import (
     Theory,
     atoms_of,
     build_rule,
-    enumerate_interpretations,
     ht_countermodels,
     ht_equivalent,
     ht_models,
@@ -24,6 +23,7 @@ from htlp import (
     sat_ht,
     theory_to_program_cm,
 )
+from api_reference import enumerate_interpretations
 from conftest import single
 
 PQR = Signature(["p", "q", "r"])

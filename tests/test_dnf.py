@@ -11,7 +11,6 @@ from htlp import (
     Signature,
     Theory,
     build_clause,
-    enumerate_interpretations,
     ht_equivalent,
     is_literal,
     neg,
@@ -21,6 +20,7 @@ from htlp import (
     theory_to_dnf_clauses,
     to_text,
 )
+from api_reference import enumerate_interpretations
 from conftest import single
 
 PQR = Signature(["p", "q", "r"])

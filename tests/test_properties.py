@@ -20,8 +20,9 @@ from htlp import (
     Signature,
     Theory,
     atoms_of,
-    enumerate_interpretations,
     equilibrium_models,
+    estimated_rule_count,
+    formula_to_program_syn,
     ht_countermodels,
     ht_equivalent,
     ht_models,
@@ -31,10 +32,14 @@ from htlp import (
     program_from_set,
     sat_classical,
     sat_ht,
+    simplify,
     theory_to_dnf,
     theory_to_dnf_clauses,
+    theory_to_program_cm,
+    theory_to_program_syn,
     to_text,
 )
+from api_reference import enumerate_interpretations
 
 ATOMS = ("a", "b", "c", "d", "e")
 
@@ -49,9 +54,14 @@ formulas = st.recursive(
 )
 
 
+def raw_size_at_most(bound):
+    """Formulas whose literal syntactic translation has at most bound rules."""
+    return formulas.filter(lambda f: estimated_rule_count(f) <= bound)
+
+
 @st.composite
-def theories(draw, max_formulas=3):
-    fs = tuple(draw(st.lists(formulas, max_size=max_formulas)))
+def theories(draw, max_formulas=3, formula=formulas):
+    fs = tuple(draw(st.lists(formula, max_size=max_formulas)))
     extra = draw(st.sets(st.sampled_from(ATOMS), max_size=2))
     occurring = Signature(a for f in fs for a in atoms_of(f))
     return Theory(fs, occurring | Signature(extra))
@@ -59,6 +69,10 @@ def theories(draw, max_formulas=3):
 
 def pairs(s: InterpretationSet) -> list:
     return [(m.here, m.there) for m in s]
+
+
+def program_models(program, sig: Signature) -> list:
+    return ref.models(program.to_theory().with_signature(sig))
 
 
 @fixed
@@ -165,6 +179,34 @@ def test_dnf_has_one_distinct_clause_per_model(t):
     assert [c.source for c in clauses] == list(ht_models(t))
     assert len({c.clause for c in clauses}) == len(clauses)
     assert ht_equivalent(t, Theory((theory_to_dnf(t),), t.signature)).equivalent
+
+
+@fixed
+@given(raw_size_at_most(64))
+def test_raw_syntactic_translation(f):
+    program = formula_to_program_syn(f)
+    assert len(program) == estimated_rule_count(f)
+    expected = ref.models(Theory((f,)))
+    assert program_models(program, atoms_of(f)) == expected
+    assert program_models(simplify(program), atoms_of(f)) == expected
+
+
+# Drawn theories are mostly tiny; at 100 examples this missed a Lemma 1
+# rule with a disjunct dropped, which 300 examples catch.
+@settings(fixed, max_examples=300)
+@given(theories(formula=raw_size_at_most(4096)))
+def test_simplified_syntactic_translation(t):
+    program = theory_to_program_syn(t, simplify=True)
+    assert program_models(program, t.signature) == ref.models(t)
+
+
+@fixed
+@given(theories())
+def test_simplify_leaves_countermodel_programs_unchanged(t):
+    # Why the CLI's countermodel path skips simplify() under --simplify.
+    for mode in ("whole", "per_formula"):
+        program = theory_to_program_cm(t, mode)
+        assert simplify(program).rules == program.rules
 
 
 @fixed

@@ -23,9 +23,7 @@ from htlp import (
     formula_to_program_syn,
     ht_equivalent,
     ht_models,
-    implication_of_programs,
     is_rule,
-    lemma1_rewrite,
     neg,
     parse,
     rule_to_text,
@@ -35,6 +33,7 @@ from htlp import (
     to_text,
 )
 from htlp.rewriting import RULE_COUNT_CEILING
+from api_reference import implication_of_programs, lemma1_rewrite
 from conftest import formulas_up_to, single
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")

@@ -20,7 +20,6 @@ from htlp import (
     SignatureMismatchError,
     Theory,
     atoms_of,
-    enumerate_interpretations,
     equilibrium_models,
     ht_countermodels,
     ht_equivalent,
@@ -32,8 +31,8 @@ from htlp import (
     parse_theory,
     sat_classical,
     sat_ht,
-    strong_equivalence_probe,
 )
+from api_reference import enumerate_interpretations, strong_equivalence_probe
 from conftest import random_formula, single
 
 PQR = Signature(["p", "q", "r"])
