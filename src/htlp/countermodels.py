@@ -54,14 +54,21 @@ class DnfClause:
 
 
 @lru_cache(maxsize=1024)
-def _literals(name: str) -> tuple[Atom, Formula]:
-    """The atom a and its negation ~a, one shared pair per name."""
+def _literals(name: str) -> tuple[Atom, Formula, Formula]:
+    """The atom a, ~a and ~~a, one shared triple per name."""
     a = Atom(name)
-    return a, neg(a)
+    not_a = neg(a)
+    return a, not_a, neg(not_a)
+
+
+@lru_cache(maxsize=4096)
+def _implication(d: str, e: str) -> Formula:
+    """d -> e, one shared node per ordered pair of names."""
+    return Implies(_literals(d)[0], _literals(e)[0])
 
 
 def _split(interpretation: HtInterpretation) -> tuple[list, list, list]:
-    """The (a, ~a) pairs of the here-atoms, the atoms outside Y and the undefined ones."""
+    """The (a, ~a, ~~a) of the here-atoms, the atoms outside Y and the undefined ones."""
     here, there = interpretation.here, interpretation.there
     groups: tuple[list, list, list] = ([], [], [])
     for name in interpretation.over:  # in name order
@@ -78,8 +85,8 @@ def build_rule(interpretation: HtInterpretation) -> CountermodelRule:
     constraint).
     """
     here, absent, undefined = _split(interpretation)
-    body = conj([a for a, _ in here] + [not_b for _, not_b in absent])
-    head = disj([literal for pair in undefined for literal in pair])
+    body = conj([a for a, _, _ in here] + [not_b for _, not_b, _ in absent])
+    head = disj([literal for c, not_c, _ in undefined for literal in (c, not_c)])
     return CountermodelRule(interpretation, Rule(body, head))
 
 
@@ -90,12 +97,14 @@ def build_clause(interpretation: HtInterpretation) -> DnfClause:
     the there-set, the double negations of the undefined atoms, and one
     implication d -> e for every ordered pair of undefined atoms
     (including d = e).  Empty groups are omitted; when everything is
-    empty the clause is top.
+    empty the clause is top.  Only the & spine is new; the literals and
+    implications are shared nodes.
     """
     here, absent, undefined = _split(interpretation)
-    parts = [a for a, _ in here] + [not_b for _, not_b in absent]
-    parts += [neg(not_c) for _, not_c in undefined]
-    parts += [Implies(d, e) for d, _ in undefined for e, _ in undefined]
+    parts = [a for a, _, _ in here] + [not_b for _, not_b, _ in absent]
+    parts += [not_not_c for _, _, not_not_c in undefined]
+    names = [c.name for c, _, _ in undefined]
+    parts += [_implication(d, e) for d in names for e in names]
     return DnfClause(interpretation, conj(parts))
 
 

@@ -11,6 +11,13 @@ A *nested expression* is a formula whose implications are all negations
 (consequent bot), a *rule* is an implication between two nested
 expressions, and a *program* is a set of rules.  Bare nested expressions
 count as rules with body top.
+
+Nodes and rules are immutable values, compared and hashed by their
+fields, with __slots__ declared by hand (under dataclass(slots=True) the
+frozen __setattr__ raises TypeError for names that are not fields).
+Every constructor still checks, and copies and pickles are rebuilt
+through the constructors.  The walks dispatch on the exact node type, so
+the node kinds are not meant to be subclassed.
 """
 
 from __future__ import annotations
@@ -34,17 +41,21 @@ class Formula:
 
     __slots__ = ()
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
     def __repr__(self) -> str:
         return to_text(self)
 
 
 @dataclass(frozen=True, repr=False)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
+    __slots__ = ("name",)
     name: str
 
     def __post_init__(self) -> None:
@@ -54,18 +65,21 @@ class Atom(Formula):
 
 @dataclass(frozen=True, repr=False)
 class And(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True, repr=False)
 class Or(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True, repr=False)
 class Implies(Formula):
+    __slots__ = ("antecedent", "consequent")
     antecedent: Formula
     consequent: Formula
 
@@ -144,13 +158,17 @@ def atoms_of(*formulas: Formula) -> Signature:
     stack = list(formulas)
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
+        kind = type(node)
+        if kind is Atom:
             names.add(node.name)
-        elif isinstance(node, (And, Or)):
+        elif kind is And or kind is Or:
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, Implies):
-            stack.append(node.antecedent)
+        elif kind is Implies:
+            if type(node.antecedent) is Atom:  # a literal ~a, or a -> G
+                names.add(node.antecedent.name)
+            else:
+                stack.append(node.antecedent)
             stack.append(node.consequent)
     return Signature(names)
 
@@ -192,14 +210,25 @@ class Theory:
 # --- syntactic classes -------------------------------------------------
 
 def is_nested_expression(f: Formula) -> bool:
-    """True iff every implication inside f is a negation (or top)."""
-    if isinstance(f, (Atom, Bottom)):
-        return True
-    if isinstance(f, (And, Or)):
-        return is_nested_expression(f.left) and is_nested_expression(f.right)
-    if isinstance(f, Implies):
-        return f.consequent == BOT and is_nested_expression(f.antecedent)
-    raise TypeError(f"not a formula: {f!r}")
+    """True iff every implication inside f is a negation (or top).
+
+    Walks the subtrees left to right and stops at the first implication
+    that is not a negation, or raises TypeError at the first non-formula.
+    """
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is And or kind is Or:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif kind is Implies:
+            if type(node.consequent) is not Bottom:
+                return False
+            stack.append(node.antecedent)
+        elif kind is not Atom and kind is not Bottom:
+            raise TypeError(f"not a formula: {node!r}")
+    return True
 
 
 def is_literal(f: Formula) -> bool:
@@ -268,6 +297,7 @@ def is_nonnested_rule(f: Formula) -> bool:
 class Rule:
     """body -> head with both sides nested expressions."""
 
+    __slots__ = ("body", "head")
     body: Formula
     head: Formula
 
@@ -283,6 +313,9 @@ class Rule:
         if split is None:
             raise ValueError(f"formula is not a rule: {f!r}")
         return Rule(*split)
+
+    def __reduce__(self):
+        return Rule, (self.body, self.head)
 
     def to_formula(self) -> Formula:
         return self.head if self.body == TOP else Implies(self.body, self.head)
@@ -334,16 +367,17 @@ def _chain(f: And | Or) -> tuple[str, list[Formula]]:
 
 
 def _raw(f: Formula) -> str:
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         return f.name
-    if isinstance(f, (And, Or)):
+    if kind is Implies:
+        return f"({_raw(f.antecedent)} -> {_raw(f.consequent)})"
+    if kind is And or kind is Or:
         symbol, (first, *rest) = _chain(f)
         tail = "".join(f"{symbol}{_raw(g)})" for g in rest)
         return "(" * len(rest) + _raw(first) + tail
-    if isinstance(f, Implies):
-        return f"({_raw(f.antecedent)} -> {_raw(f.consequent)})"
+    if kind is Bottom:
+        return "bot"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -357,26 +391,30 @@ _PREC_ATOM = 5
 
 
 def _sugared(f: Formula, context: int) -> str:
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         return f.name
-    if f == TOP:
-        return "top"
-    if isinstance(f, Implies) and f.consequent == BOT:
-        return "~" + _sugared(f.antecedent, _PREC_NEG)
-    if isinstance(f, (And, Or)):
-        prec = _PREC_AND if isinstance(f, And) else _PREC_OR
+    if kind is Implies:
+        antecedent = f.antecedent
+        if type(f.consequent) is Bottom:  # ~a, top, then any other negation
+            if type(antecedent) is Atom:
+                return "~" + antecedent.name
+            if type(antecedent) is Bottom:
+                return "top"
+            return "~" + _sugared(antecedent, _PREC_NEG)
+        text = (
+            f"{_sugared(antecedent, _PREC_IMPLIES + 1)} -> "
+            f"{_sugared(f.consequent, _PREC_IMPLIES)}"
+        )
+        return f"({text})" if context > _PREC_IMPLIES else text
+    if kind is And or kind is Or:
+        prec = _PREC_AND if kind is And else _PREC_OR
         symbol, (first, *rest) = _chain(f)
         parts = [_sugared(first, prec)] + [_sugared(g, prec + 1) for g in rest]
         text = symbol.join(parts)
         return f"({text})" if context > prec else text
-    if isinstance(f, Implies):
-        text = (
-            f"{_sugared(f.antecedent, _PREC_IMPLIES + 1)} -> "
-            f"{_sugared(f.consequent, _PREC_IMPLIES)}"
-        )
-        return f"({text})" if context > _PREC_IMPLIES else text
+    if kind is Bottom:
+        return "bot"
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -327,6 +327,18 @@ def ht_countermodels(t: Theory, cap: int = DEFAULT_CAP) -> InterpretationSet:
     return InterpretationSet._of(space, space.full ^ space.theory(t))
 
 
+def _models_and_countermodels(
+    t: Theory, cap: int = DEFAULT_CAP
+) -> tuple[InterpretationSet, InterpretationSet]:
+    """ht_models and ht_countermodels of t, from one compiled table."""
+    space = _Space(t.signature, cap)
+    models = space.theory(t)
+    return (
+        InterpretationSet._of(space, models),
+        InterpretationSet._of(space, space.full ^ models),
+    )
+
+
 def ht_valid(f: Formula, cap: int = DEFAULT_CAP) -> bool:
     """True iff f holds at every interpretation over its own atoms.
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from htlp import cli
+from htlp import cli, ht_countermodels, ht_models, parse_theory, semantics
 from htlp.cli import main
 
 FORMULA2 = "(q -> p) | r\n"
@@ -33,6 +33,13 @@ q & ~r -> p | ~p
 q & ~p -> r | ~r
 q -> p | ~p | r | ~r
 """
+
+
+SEVEN_ATOMS = "(a -> b) | ~c\nb & c -> ~a\nd | ~e\nf -> g | ~~a\n"
+
+
+def _listed(m):
+    return {"here": sorted(m.here), "there": sorted(m.there)}
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +88,33 @@ class TestModelListing:
         assert doc["results"]["countermodels"][0] == {
             "here": [], "there": ["q"],
         }
+
+    @pytest.mark.parametrize("command", ["models", "countermodels"])
+    @pytest.mark.parametrize("text", [FORMULA2, SEVEN_ATOMS], ids=["paper", "7-atoms"])
+    def test_structured_listing_compiles_once(
+        self, capsys, tmp_path, monkeypatch, command, text
+    ):
+        path = write(tmp_path, "theory.lp", text)
+        theory = parse_theory(text)
+        expected = json.dumps({
+            "command": command,
+            "signature": list(theory.signature),
+            "results": {
+                "models": [_listed(m) for m in ht_models(theory)],
+                "countermodels": [_listed(m) for m in ht_countermodels(theory)],
+            },
+            "verification": None,
+        }, indent=2) + "\n"
+        compiled = []
+        original = semantics._Space.theory
+        monkeypatch.setattr(
+            semantics._Space, "theory",
+            lambda space, t: compiled.append(t) or original(space, t),
+        )
+        code, out, _ = run_cli(capsys, command, path, "--format", "structured")
+        assert code == 0
+        assert out == expected
+        assert len(compiled) == 1
 
     def test_reads_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("p | q\n"))

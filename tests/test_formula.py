@@ -1,5 +1,9 @@
 """Syntax trees, parser, printer, and the syntactic classifiers."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from htlp import (
@@ -123,6 +127,17 @@ class TestPrint:
         assert to_text(TOP) == "top"
         assert to_text(neg(neg(p))) == "~~p"
         assert to_text(neg(And(p, q))) == "~(p & q)"
+
+    @pytest.mark.parametrize("text, sugared, raw", [
+        ("~top", "~top", "((bot -> bot) -> bot)"),
+        ("~~a", "~~a", "((a -> bot) -> bot)"),
+        ("~bot", "top", "(bot -> bot)"),
+        ("top -> bot", "~top", "((bot -> bot) -> bot)"),
+        ("a -> ~b", "a -> ~b", "(a -> (b -> bot))"),
+    ])
+    def test_negation_and_top_texts(self, text, sugared, raw):
+        assert to_text(parse(text)) == sugared
+        assert to_text(parse(text), "raw") == raw
 
     def test_sugared_minimal_parens(self):
         assert to_text(Implies(And(q, neg(p)), Or(r, neg(r)))) == "q & ~p -> r | ~r"
@@ -256,3 +271,40 @@ class TestRuleAndProgram:
         t2 = Theory((q, r))
         assert t1.union(t2).formulas == (p, q, r)
         assert list(t1.union(t2).signature) == ["p", "q", "r"]
+
+
+def _node_kinds():
+    """One instance of each node kind and of Rule, built from scratch."""
+    a, b = Atom("a"), Atom("b")
+    return [
+        BOT, a, And(a, neg(b)), Or(a, TOP), Implies(Or(a, b), neg(a)),
+        Rule(And(a, neg(b)), Or(b, neg(b))),
+    ]
+
+
+class TestNodeValues:
+    @pytest.mark.parametrize("node", _node_kinds(), ids=lambda n: type(n).__name__)
+    def test_copies_and_pickles_are_equal(self, node):
+        pickled = pickle.loads(pickle.dumps(node))
+        for twin in (copy.copy(node), copy.deepcopy(node), pickled):
+            assert twin == node and hash(twin) == hash(node)
+            assert type(twin) is type(node)
+
+    @pytest.mark.parametrize("node", _node_kinds(), ids=lambda n: type(n).__name__)
+    def test_assignment_raises(self, node):
+        for name in [f.name for f in dataclasses.fields(node)] + ["anything"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, BOT)
+
+    @pytest.mark.parametrize("node", _node_kinds(), ids=lambda n: type(n).__name__)
+    def test_slotted(self, node):
+        assert not hasattr(node, "__dict__")
+
+    def test_independent_builds_are_equal(self):
+        for first, second in zip(_node_kinds(), _node_kinds()):
+            assert first is not second or first is BOT
+            assert first == second and hash(first) == hash(second)
+
+    def test_atom_name_still_checked(self):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            Atom("1x")
