@@ -65,6 +65,7 @@ from .countermodels import (
 )
 from .rewriting import (
     RewriteTrace,
+    RuleBudgetExceededError,
     TraceStep,
     eliminate_connectives,
     estimated_rule_count,

@@ -7,8 +7,8 @@ command, the results and the verification status.
 
 Exit codes: 0 success, 1 failed verification or non-equivalence witness,
 2 input/parse errors, 3 a bound exceeded: the enumeration cap, the count
-bound, or the raw rule budget of to-program --method syntactic without
---simplify.
+bound, or a rule budget of to-program --method syntactic (the raw budget
+without --simplify, rewriting.SIMPLIFY_RULE_BUDGET with it).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .parser import ParseError, parse_theory
 from .rewriting import (
     RULE_COUNT_CEILING,
     RewriteTrace,
+    RuleBudgetExceededError,
     estimated_rule_count,
     theory_to_program_syn,
 )
@@ -59,18 +60,6 @@ CAP_ACK_LIMIT = 20
 #: The most rules the raw syntactic translation may build and print; at
 #: 4096 that takes about 3 s on a 2-vCPU Xeon VM, at 8192 up to 8 s.
 RAW_RULE_BUDGET = 4096
-
-
-class RuleBudgetExceededError(Exception):
-    """Raised when the raw syntactic translation would exceed RAW_RULE_BUDGET."""
-
-    def __init__(self, needed: int):
-        self.needed = needed
-        at_least = "at least " if needed >= RULE_COUNT_CEILING else ""
-        super().__init__(
-            f"the raw syntactic translation has {at_least}{needed} rules, "
-            f"over the budget of {RAW_RULE_BUDGET}"
-        )
 
 
 def _atom_count(text: str) -> int:
@@ -255,7 +244,11 @@ def _translate(args: argparse.Namespace, theory: Theory) -> Program:
     if not args.simplify:
         needed = sum(estimated_rule_count(f) for f in theory.formulas)
         if needed > RAW_RULE_BUDGET:
-            raise RuleBudgetExceededError(needed)
+            at_least = "at least " if needed >= RULE_COUNT_CEILING else ""
+            raise RuleBudgetExceededError(
+                f"the raw syntactic translation has {at_least}{needed} rules, "
+                f"over the budget of {RAW_RULE_BUDGET}"
+            )
     trace = RewriteTrace() if args.trace else None
     program = theory_to_program_syn(theory, args.simplify, trace, args.cap)
     if trace is not None and trace.steps:

@@ -88,6 +88,15 @@ BOT = Bottom()
 TOP = Implies(BOT, BOT)
 
 
+def _is_top(f: object) -> bool:
+    """f == TOP, by node type: no field-by-field dataclass comparison."""
+    return (
+        type(f) is Implies
+        and type(f.antecedent) is Bottom
+        and type(f.consequent) is Bottom
+    )
+
+
 def neg(f: Formula) -> Formula:
     """~F, stored as F -> bot."""
     return Implies(f, BOT)
@@ -233,23 +242,23 @@ def is_nested_expression(f: Formula) -> bool:
 
 def is_literal(f: Formula) -> bool:
     """An atom or a negated atom."""
-    if isinstance(f, Atom):
+    if type(f) is Atom:
         return True
     return (
-        isinstance(f, Implies)
-        and f.consequent == BOT
-        and isinstance(f.antecedent, Atom)
+        type(f) is Implies
+        and type(f.consequent) is Bottom
+        and type(f.antecedent) is Atom
     )
 
 
 def _is_literal_conjunction(f: Formula) -> bool:
-    if isinstance(f, And):
+    if type(f) is And:
         return _is_literal_conjunction(f.left) and _is_literal_conjunction(f.right)
     return is_literal(f)
 
 
 def _is_literal_disjunction(f: Formula) -> bool:
-    if isinstance(f, Or):
+    if type(f) is Or:
         return _is_literal_disjunction(f.left) and _is_literal_disjunction(f.right)
     return is_literal(f)
 
@@ -262,8 +271,8 @@ def _split_rule(f: Formula) -> Optional[tuple[Formula, Formula]]:
     expression G becomes the implicit rule top -> G.
     """
     if (
-        isinstance(f, Implies)
-        and f != TOP
+        type(f) is Implies
+        and not _is_top(f)
         and is_nested_expression(f.antecedent)
         and is_nested_expression(f.consequent)
     ):
@@ -288,8 +297,8 @@ def is_nonnested_rule(f: Formula) -> bool:
     if split is None:
         return False
     body, head = split
-    body_ok = body == TOP or _is_literal_conjunction(body)
-    head_ok = head == BOT or _is_literal_disjunction(head)
+    body_ok = _is_top(body) or _is_literal_conjunction(body)
+    head_ok = type(head) is Bottom or _is_literal_disjunction(head)
     return body_ok and head_ok
 
 
@@ -318,7 +327,7 @@ class Rule:
         return Rule, (self.body, self.head)
 
     def to_formula(self) -> Formula:
-        return self.head if self.body == TOP else Implies(self.body, self.head)
+        return self.head if _is_top(self.body) else Implies(self.body, self.head)
 
     def is_nonnested(self) -> bool:
         return is_nonnested_rule(self.to_formula())
@@ -434,7 +443,7 @@ def to_text(f: Formula, style: str = "sugared") -> str:
 
 def rule_to_text(r: Rule) -> str:
     """One-line rule text; an implicit top body prints as the bare head."""
-    if r.body == TOP:
+    if _is_top(r.body):
         return to_text(r.head)
     return f"{to_text(r.body)} -> {to_text(r.head)}"
 

@@ -18,12 +18,17 @@ re-checked against the input by enumeration.
 The optional simplifier cleans rules up without ever changing the model
 set: constant folding, the weak De Morgan laws, splitting disjunctive
 bodies, propagating body literals into the head, and dropping rules that
-an enumeration over their own atoms proves tautological.
+an enumeration over their own atoms proves tautological.  Its normalizer
+is one bottom-up pass that combines parts already normalized, without
+normalizing a rewritten subtree again.  A simplified translation counts
+the rules its Lemma 1 steps build and the body branches the simplifier
+expands, and raises RuleBudgetExceededError past SIMPLIFY_RULE_BUDGET.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -39,6 +44,7 @@ from .formula import (
     Program,
     Rule,
     Theory,
+    _is_top,
     atoms_of,
     conj,
     disj,
@@ -79,19 +85,20 @@ def eliminate_connectives(
     f: Formula, trace: Optional[RewriteTrace] = None
 ) -> Formula:
     """An equivalent formula over atoms, bot, & and -> only."""
-    if isinstance(f, (Atom, Bottom)):
+    kind = type(f)
+    if kind is Atom or kind is Bottom:
         return f
-    if isinstance(f, And):
+    if kind is And:
         return And(
             eliminate_connectives(f.left, trace),
             eliminate_connectives(f.right, trace),
         )
-    if isinstance(f, Implies):
+    if kind is Implies:
         return Implies(
             eliminate_connectives(f.antecedent, trace),
             eliminate_connectives(f.consequent, trace),
         )
-    if isinstance(f, Or):
+    if kind is Or:
         left = eliminate_connectives(f.left, trace)
         right = eliminate_connectives(f.right, trace)
         expanded = And(
@@ -104,16 +111,49 @@ def eliminate_connectives(
     raise TypeError(f"not a formula: {f!r}")
 
 
+#: The most rules one simplified syntactic translation may build: the
+#: rules of every Lemma 1 step plus the body branches the simplifier
+#: expands.  Sized from measurements in CHANGES.md: at least ten times
+#: the largest count seen on the benchmark's seeds, the test corpora and
+#: the property tests.
+SIMPLIFY_RULE_BUDGET = 50_000
+
+
+class RuleBudgetExceededError(Exception):
+    """A syntactic translation would build more rules than its budget."""
+
+
+class _RuleBudget:
+    """The running rule count of one simplified translation."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.spent = 0
+
+    def spend(self, rules: int) -> None:
+        self.spent += rules
+        if self.spent > self.limit:
+            raise RuleBudgetExceededError(
+                "the simplified syntactic translation builds more than "
+                f"{self.limit} rules and body branches"
+            )
+
+
 def _implication(
     rules1: tuple[Rule, ...],
     rules2: tuple[Rule, ...],
     trace: Optional[RewriteTrace],
-    simplify_steps: bool = False,
+    budget: Optional[_RuleBudget] = None,
     cap: int = DEFAULT_CAP,
 ) -> tuple[Rule, ...]:
+    """The rules of rules1 -> rules2; budget is None for the literal construction."""
     if not rules1:
         return rules2
     if len(rules1) == 1:
+        if budget is not None:
+            budget.spend(2 * len(rules2))
         antecedent = rules1[0]
         if trace is not None and len(rules2) > 1:
             trace.record(
@@ -136,10 +176,10 @@ def _implication(
                 )
             out.append(first)
             out.append(second)
-        if simplify_steps:
+        if budget is not None:
             # Cleaning up right away keeps the antecedent rule count small
             # through the currying recursion; raw growth is exponential.
-            return _simplify_rules(tuple(out), trace, cap)
+            return _simplify_rules(tuple(out), trace, cap, budget)
         return tuple(out)
     # Balanced split keeps the recursion depth logarithmic.
     half = len(rules1) // 2
@@ -153,23 +193,24 @@ def _implication(
                 Implies(_rules_formula(inner), _rules_formula(rules2)),
             ),
         )
-    composed = _implication(inner, rules2, trace, simplify_steps, cap)
-    return _implication(outer, composed, trace, simplify_steps, cap)
+    composed = _implication(inner, rules2, trace, budget, cap)
+    return _implication(outer, composed, trace, budget, cap)
 
 
 def _convert(
     f: Formula,
-    simplify_steps: bool,
     trace: Optional[RewriteTrace],
+    budget: Optional[_RuleBudget],
     cap: int,
 ) -> tuple[Rule, ...]:
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         return (Rule(TOP, f),)
-    if isinstance(f, Bottom):
+    if kind is Bottom:
         return (Rule(TOP, BOT),)
-    if isinstance(f, And):
-        left = _convert(f.left, simplify_steps, trace, cap)
-        right = _convert(f.right, simplify_steps, trace, cap)
+    if kind is And:
+        left = _convert(f.left, trace, budget, cap)
+        right = _convert(f.right, trace, budget, cap)
         merged = left + right
         if trace is not None:
             trace.record(
@@ -177,15 +218,15 @@ def _convert(
                 And(_rules_formula(left), _rules_formula(right)),
                 _rules_formula(merged),
             )
-        if simplify_steps:
+        if budget is not None:
             merged = tuple(dict.fromkeys(merged))
         return merged
-    if isinstance(f, Implies):
+    if kind is Implies:
         return _implication(
-            _convert(f.antecedent, simplify_steps, trace, cap),
-            _convert(f.consequent, simplify_steps, trace, cap),
+            _convert(f.antecedent, trace, budget, cap),
+            _convert(f.consequent, trace, budget, cap),
             trace,
-            simplify_steps,
+            budget,
             cap,
         )
     raise AssertionError("disjunctions must be eliminated before conversion")
@@ -201,11 +242,12 @@ def formula_to_program_syn(
 
     With simplify=True every intermediate implication reduction is
     cleaned up before the recursion continues, the way one would work by
-    hand; the default emits the literal construction.  Rules may still
-    have nested bodies and heads either way.
+    hand, within SIMPLIFY_RULE_BUDGET; the default emits the literal
+    construction.  Rules may still have nested bodies and heads either way.
     """
     no_or = eliminate_connectives(f, trace)
-    rules = _convert(no_or, simplify, trace, cap)
+    budget = _RuleBudget(SIMPLIFY_RULE_BUDGET) if simplify else None
+    rules = _convert(no_or, trace, budget, cap)
     return Program(rules, atoms_of(f))
 
 
@@ -256,61 +298,80 @@ def theory_to_program_syn(
     trace: Optional[RewriteTrace] = None,
     cap: int = DEFAULT_CAP,
 ) -> Program:
-    """Formula-by-formula syntactic conversion of a theory, unioned."""
+    """Formula-by-formula syntactic conversion of a theory, unioned.
+
+    With simplify=True the whole theory shares one SIMPLIFY_RULE_BUDGET.
+    """
+    budget = _RuleBudget(SIMPLIFY_RULE_BUDGET) if simplify else None
     rules: dict[Rule, None] = {}
     for f in t.formulas:
         rules.update(
-            dict.fromkeys(_convert(eliminate_connectives(f, trace), simplify, trace, cap))
+            dict.fromkeys(_convert(eliminate_connectives(f, trace), trace, budget, cap))
         )
     return Program(tuple(rules), t.signature)
 
 
 # --- simplification ----------------------------------------------------
+# _and, _or and _not take parts that are already normalized and give the
+# normalized result, so _normalize is one bottom-up pass.  On nested
+# expressions (rule sides) _normalize is idempotent, so this equals
+# normalizing each De Morgan rewrite again.
+
+def _and(left: Formula, right: Formula) -> Formula:
+    if type(left) is Bottom or type(right) is Bottom:
+        return BOT
+    if _is_top(left):
+        return right
+    if _is_top(right):
+        return left
+    return And(left, right)
+
+
+def _or(left: Formula, right: Formula) -> Formula:
+    if _is_top(left) or _is_top(right):
+        return TOP
+    if type(left) is Bottom:
+        return right
+    if type(right) is Bottom:
+        return left
+    return Or(left, right)
+
+
+def _not(f: Formula) -> Formula:
+    """~f normalized: constants fold, De Morgan, ~~~G collapses to ~G."""
+    kind = type(f)
+    if kind is Bottom:
+        return TOP
+    if kind is And:
+        return _or(_not(f.left), _not(f.right))
+    if kind is Or:
+        return _and(_not(f.left), _not(f.right))
+    if kind is Implies and type(f.consequent) is Bottom:
+        inner = f.antecedent
+        if type(inner) is Bottom:  # f is top
+            return BOT
+        if type(inner) is Implies and type(inner.consequent) is Bottom:
+            return inner  # ~~~G is ~G
+    return Implies(f, BOT)  # not neg(f): one frame less on deep negations
+
 
 def _normalize(f: Formula) -> Formula:
     """Constant folding, weak De Morgan, and triple-negation collapse.
 
-    Double negations are kept: ~~F is not equivalent to F here.
+    Double negations are kept: ~~F is not equivalent to F here.  f is
+    meant to be a nested expression; an implication with another
+    consequent keeps its shape and is not folded into a negation.
     """
-    if isinstance(f, (Atom, Bottom)):
+    kind = type(f)
+    if kind is Atom or kind is Bottom:
         return f
-    if isinstance(f, And):
-        left, right = _normalize(f.left), _normalize(f.right)
-        if left == BOT or right == BOT:
-            return BOT
-        if left == TOP:
-            return right
-        if right == TOP:
-            return left
-        return And(left, right)
-    if isinstance(f, Or):
-        left, right = _normalize(f.left), _normalize(f.right)
-        if left == TOP or right == TOP:
-            return TOP
-        if left == BOT:
-            return right
-        if right == BOT:
-            return left
-        return Or(left, right)
-    if isinstance(f, Implies):
-        if f.consequent == BOT:
-            inner = _normalize(f.antecedent)
-            if inner == BOT:
-                return TOP
-            if inner == TOP:
-                return BOT
-            if isinstance(inner, And):
-                return _normalize(Or(neg(inner.left), neg(inner.right)))
-            if isinstance(inner, Or):
-                return _normalize(And(neg(inner.left), neg(inner.right)))
-            if (
-                isinstance(inner, Implies)
-                and inner.consequent == BOT
-                and isinstance(inner.antecedent, Implies)
-                and inner.antecedent.consequent == BOT
-            ):
-                return neg(inner.antecedent.antecedent)
-            return neg(inner)
+    if kind is And:
+        return _and(_normalize(f.left), _normalize(f.right))
+    if kind is Or:
+        return _or(_normalize(f.left), _normalize(f.right))
+    if kind is Implies:
+        if type(f.consequent) is Bottom:
+            return _not(_normalize(f.antecedent))
         # Implications with a non-bot consequent occur only at the rule
         # level, never inside nested expressions.
         return Implies(_normalize(f.antecedent), _normalize(f.consequent))
@@ -318,23 +379,35 @@ def _normalize(f: Formula) -> Formula:
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
-    if f == TOP:
-        return []
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
+    """The conjuncts of f left to right, without top."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is And:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif not _is_top(node):
+            out.append(node)
+    return out
 
 
 def _flatten_or(f: Formula) -> list[Formula]:
-    if f == BOT:
-        return []
-    if isinstance(f, Or):
-        return _flatten_or(f.left) + _flatten_or(f.right)
-    return [f]
+    """The disjuncts of f left to right, without bot."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is Or:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif type(node) is not Bottom:
+            out.append(node)
+    return out
 
 
 def _is_negation(f: Formula) -> bool:
-    return isinstance(f, Implies) and f.consequent == BOT
+    return type(f) is Implies and type(f.consequent) is Bottom
 
 
 def _rule_ht_valid(rule: Rule, cap: int) -> bool:
@@ -352,7 +425,7 @@ def _propagate_units(
         return None
     if _is_negation(d) and d.antecedent in unit_set:
         return None
-    if isinstance(d, And):
+    if type(d) is And:
         kept = []
         for c in _flatten_and(d):
             if c in unit_set:
@@ -377,15 +450,15 @@ def _simplify_head(
         replacement = _propagate_units(d, unit_set)
         if replacement is None:
             continue
-        if replacement == TOP or replacement in unit_set:
+        if _is_top(replacement) or replacement in unit_set:
             trigger = True
         kept.append(replacement)
     kept = list(dict.fromkeys(kept))
-    head_pos = {d.name for d in kept if isinstance(d, Atom)}
+    head_pos = {d.name for d in kept if type(d) is Atom}
     head_negs = {
         d.antecedent.name
         for d in kept
-        if _is_negation(d) and isinstance(d.antecedent, Atom)
+        if _is_negation(d) and type(d.antecedent) is Atom
     }
     if head_pos & head_negs:
         trigger = True
@@ -396,15 +469,20 @@ def _simplify_head(
 
 
 def _simplify_rule(
-    r: Rule, trace: Optional[RewriteTrace], cap: int
+    r: Rule,
+    trace: Optional[RewriteTrace],
+    cap: int,
+    budget: Optional[_RuleBudget],
 ) -> list[Rule]:
     body = _normalize(r.body)
     head = _normalize(r.head)
     results: list[Rule] = []
-    if body == BOT or head == TOP:
+    if type(body) is Bottom or _is_top(head):
         _record_simplify(trace, r, results)
         return results
     choices = [_flatten_or(factor) for factor in _flatten_and(body)]
+    if budget is not None:
+        budget.spend(math.prod(len(c) for c in choices))
     for combo in itertools.product(*choices):
         units = list(dict.fromkeys(combo))
         unit_set = set(units)
@@ -429,11 +507,14 @@ def _record_simplify(
 
 
 def _simplify_rules(
-    rules: tuple[Rule, ...], trace: Optional[RewriteTrace], cap: int
+    rules: tuple[Rule, ...],
+    trace: Optional[RewriteTrace],
+    cap: int,
+    budget: Optional[_RuleBudget] = None,
 ) -> tuple[Rule, ...]:
     out: list[Rule] = []
     for r in rules:
-        out.extend(_simplify_rule(r, trace, cap))
+        out.extend(_simplify_rule(r, trace, cap, budget))
     deduped = tuple(dict.fromkeys(out))
     if trace is not None and len(deduped) != len(out):
         trace.record("simplify-dedup", _rules_formula(out), _rules_formula(deduped))

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from htlp import cli, ht_countermodels, ht_models, parse_theory, semantics
+from htlp import cli, ht_countermodels, ht_models, parse_theory, rewriting, semantics
 from htlp.cli import main
 
 FORMULA2 = "(q -> p) | r\n"
@@ -389,6 +389,31 @@ class TestErrors:
             "over the budget of 47\n"
         )
         assert run_cli(capsys, *command, "--simplify")[0] == 0
+
+    def test_simplified_rule_budget_exit_3(self, capsys, tmp_path, monkeypatch):
+        # Without a running budget this input runs without bound; a low
+        # budget keeps the test fast.
+        path = write(tmp_path, "big.lp", "((a|b)->(c|d))->((b|c)->(d|a))\n")
+        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 2000)
+        code, out, err = run_cli(
+            capsys, "to-program", "--method", "syntactic", "--simplify", path
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the simplified syntactic translation builds more than "
+            "2000 rules and body branches\n"
+        )
+
+    def test_simplified_rule_budget_boundary(self, capsys, formula2_file, monkeypatch):
+        command = ("to-program", "--method", "syntactic", "--simplify", formula2_file)
+        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 58)  # the example's count
+        assert run_cli(capsys, *command)[0] == 0
+        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 57)
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "57" in err and "Traceback" not in err
+        # The raw translation has its own budget, checked up front.
+        assert run_cli(capsys, "to-program", "--method", "syntactic", formula2_file)[0] == 0
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.lp", "p -> (q\n")

@@ -5,13 +5,15 @@ semantics must equal the one-interpretation-at-a-time reference in
 ht_reference.py, listings in the same order.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import formula_reference
 import ht_reference as ref
+import rewriting_reference
 from htlp import (
     BOT,
+    TOP,
     And,
     Atom,
     HtInterpretation,
@@ -41,6 +43,14 @@ from htlp import (
     theory_to_program_syn,
     to_text,
 )
+from htlp.formula import _is_top
+from htlp.rewriting import (
+    RewriteTrace,
+    _flatten_and,
+    _flatten_or,
+    _normalize,
+    eliminate_connectives,
+)
 from api_reference import enumerate_interpretations
 
 ATOMS = ("a", "b", "c", "d", "e")
@@ -63,6 +73,23 @@ formula_leaves = st.just(BOT) | st.sampled_from(ATOMS).map(Atom)
 formulas = trees(formula_leaves)
 # Trees with non-formula leaves, as a caller could build by mistake.
 malformed = trees(formula_leaves | st.sampled_from((None, 0, "a")))
+
+
+def nested_trees(leaves):
+    """Nested expressions over the leaves: every implication a negation.
+
+    These are the rule sides that the simplifier normalizes.
+    """
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(neg, sub) | st.builds(And, sub, sub)
+        | st.builds(Or, sub, sub),
+        max_leaves=10,
+    )
+
+
+nested = nested_trees(formula_leaves)
+malformed_nested = nested_trees(formula_leaves | st.sampled_from((None, 0, "a")))
 
 
 def raw_size_at_most(bound):
@@ -254,6 +281,15 @@ def outcome(fn, *args):
         return f"TypeError: {error}"
 
 
+def error(fn, *args):
+    """The message of the TypeError fn raises, or None."""
+    try:
+        fn(*args)
+    except TypeError as error:
+        return f"TypeError: {error}"
+    return None
+
+
 @fixed
 @given(formulas | malformed)
 def test_nested_expression_matches_the_recursive_walk(f):
@@ -272,3 +308,54 @@ def test_atoms_of_matches_the_reference_walk(fs):
 @given(formulas | malformed, st.sampled_from(("raw", "sugared")))
 def test_printer_matches_the_reference_printer(f, style):
     assert outcome(to_text, f, style) == outcome(formula_reference.to_text, f, style)
+
+
+@fixed
+@given(formulas | malformed)
+@example(TOP)
+@example(Implies(BOT, None))
+def test_is_top_is_equality_with_top(f):
+    assert _is_top(f) == (f == TOP)
+
+
+@fixed
+@given(nested | malformed_nested)
+@example(neg(neg(neg(Atom("a")))))  # random draws seldom nest three negations
+@example(neg(And(Atom("a"), neg(neg(Or(Atom("b"), BOT))))))
+def test_normalize_matches_the_renormalizing_reference(f):
+    assert outcome(_normalize, f) == outcome(rewriting_reference.normalize, f)
+
+
+@fixed
+@given(formulas | malformed)
+def test_normalize_raises_where_the_reference_raises(f):
+    # Off nested expressions the trees may differ: the reference normalizes
+    # a negation again when it meets it under De Morgan, and a rule-level
+    # implication such as a -> bot & bot leaves one unnormalized.
+    assert error(_normalize, f) == error(rewriting_reference.normalize, f)
+
+
+@fixed
+@given(nested)
+def test_normalize_is_idempotent_on_nested_expressions(f):
+    # What lets _normalize build over normalized parts instead of
+    # normalizing each De Morgan rewrite again.
+    once = _normalize(f)
+    assert _normalize(once) == once
+
+
+@fixed
+@given(formulas | malformed)
+def test_flattening_matches_the_recursive_reference(f):
+    assert _flatten_and(f) == rewriting_reference.flatten_and(f)
+    assert _flatten_or(f) == rewriting_reference.flatten_or(f)
+
+
+@fixed
+@given(formulas | malformed)
+def test_eliminate_connectives_matches_the_reference(f):
+    trace, reference_trace = RewriteTrace(), RewriteTrace()
+    assert outcome(eliminate_connectives, f, trace) == outcome(
+        rewriting_reference.eliminate_connectives, f, reference_trace
+    )
+    assert trace.steps == reference_trace.steps

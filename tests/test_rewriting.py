@@ -14,6 +14,7 @@ from htlp import (
     Program,
     Rule,
     RewriteTrace,
+    RuleBudgetExceededError,
     Signature,
     Theory,
     conj,
@@ -32,6 +33,7 @@ from htlp import (
     theory_to_program_syn,
     to_text,
 )
+from htlp import rewriting
 from htlp.rewriting import RULE_COUNT_CEILING
 from api_reference import implication_of_programs, lemma1_rewrite
 from conftest import formulas_up_to, single
@@ -226,6 +228,26 @@ class TestEstimatedRuleCount:
     ])
     def test_saturates_instead_of_overflowing(self, text):
         assert estimated_rule_count(parse(text)) == RULE_COUNT_CEILING
+
+
+class TestSimplifiedRuleBudget:
+    def test_one_budget_per_translation(self, monkeypatch):
+        # Simplified, each of these builds 58 rules and body branches.
+        first, second = parse("(q -> p) | r"), parse("(p -> q) | r")
+        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 58)
+        for f in (first, second):
+            assert len(formula_to_program_syn(f, simplify=True)) > 0
+            assert len(theory_to_program_syn(Theory((f,)), simplify=True)) > 0
+        with pytest.raises(RuleBudgetExceededError, match="more than 58 rules"):
+            theory_to_program_syn(Theory((first, second)), simplify=True)
+
+    def test_counts_only_the_simplified_translation(self, monkeypatch):
+        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 0)
+        f = parse("(q -> p) | r")
+        assert len(formula_to_program_syn(f)) == 48
+        assert len(simplify(formula_to_program_syn(f))) > 0
+        with pytest.raises(RuleBudgetExceededError):
+            formula_to_program_syn(f, simplify=True)
 
 
 class TestWorkedExample:
