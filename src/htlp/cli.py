@@ -7,8 +7,9 @@ command, the results and the verification status.
 
 Exit codes: 0 success, 1 failed verification or non-equivalence witness,
 2 input/parse errors, 3 a bound exceeded: the enumeration cap, the count
-bound, or a rule budget of to-program --method syntactic (the raw budget
-without --simplify, rewriting.SIMPLIFY_RULE_BUDGET with it).
+bound, or a rule budget of to-program --method syntactic
+(rewriting.RAW_RULE_BUDGET without --simplify, rewriting.SIMPLIFY_RULE_BUDGET
+with it).
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from .formula import (
 )
 from .parser import ParseError, parse_theory
 from .rewriting import (
-    RULE_COUNT_CEILING,
     RewriteTrace,
     RuleBudgetExceededError,
-    estimated_rule_count,
     theory_to_program_syn,
 )
 from .semantics import (
@@ -56,10 +55,6 @@ EXIT_CAP_EXCEEDED = 3
 
 #: Caps beyond this need an explicit acknowledgment flag.
 CAP_ACK_LIMIT = 20
-
-#: The most rules the raw syntactic translation may build and print; at
-#: 4096 that takes about 3 s on a 2-vCPU Xeon VM, at 8192 up to 8 s.
-RAW_RULE_BUDGET = 4096
 
 
 def _atom_count(text: str) -> int:
@@ -241,14 +236,6 @@ def _translate(args: argparse.Namespace, theory: Theory) -> Program:
     if args.method == "countermodel":
         # Already in simplify()'s normal form, so --simplify changes nothing.
         return theory_to_program_cm(theory, args.mode, args.cap)
-    if not args.simplify:
-        needed = sum(estimated_rule_count(f) for f in theory.formulas)
-        if needed > RAW_RULE_BUDGET:
-            at_least = "at least " if needed >= RULE_COUNT_CEILING else ""
-            raise RuleBudgetExceededError(
-                f"the raw syntactic translation has {at_least}{needed} rules, "
-                f"over the budget of {RAW_RULE_BUDGET}"
-            )
     trace = RewriteTrace() if args.trace else None
     program = theory_to_program_syn(theory, args.simplify, trace, args.cap)
     if trace is not None and trace.steps:

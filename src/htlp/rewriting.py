@@ -13,7 +13,21 @@ two programs reduces to a program again.  The reduction of a single rule
 
 and larger antecedent programs split in half and curry.  Each step
 preserves equivalence in here-and-there, so the result can always be
-re-checked against the input by enumeration.
+re-checked against the input by enumeration.  The raw construction
+grows doubly exponentially with the nesting of | and ->, so it raises
+RuleBudgetExceededError up front when estimated_rule_count is past
+RAW_RULE_BUDGET.
+
+A simplified translation does not run Lemma 1 on the encoding of a
+disjunction.  It recognises the encoded shape, converts F and G once
+each and distributes | over every pair of their rules B -> H and
+C -> G, by the HT identities (HT is closed under substitution, so they
+hold for nested B, H, C, G):
+
+    H | G               ==  {H | G}
+    (B -> H) | K        ==  {B -> H | K,  ~H -> ~B | K}
+    (B -> H) | (C -> G) ==  {B & C -> H | G,    ~H & C -> ~B | G,
+                             B & ~G -> H | ~C,  ~H & ~G -> ~B | ~C}
 
 The optional simplifier cleans rules up without ever changing the model
 set: constant folding, the weak De Morgan laws, splitting disjunctive
@@ -21,8 +35,9 @@ bodies, propagating body literals into the head, and dropping rules that
 an enumeration over their own atoms proves tautological.  Its normalizer
 is one bottom-up pass that combines parts already normalized, without
 normalizing a rewritten subtree again.  A simplified translation counts
-the rules its Lemma 1 steps build and the body branches the simplifier
-expands, and raises RuleBudgetExceededError past SIMPLIFY_RULE_BUDGET.
+the rules its Lemma 1 and distribution steps build and the body
+branches the simplifier expands, and raises RuleBudgetExceededError past
+SIMPLIFY_RULE_BUDGET.
 """
 
 from __future__ import annotations
@@ -111,11 +126,16 @@ def eliminate_connectives(
     raise TypeError(f"not a formula: {f!r}")
 
 
+#: The most rules the raw syntactic translation may build; checked up
+#: front with estimated_rule_count.  At 4096 building and printing them
+#: takes about 3 s on a 2-vCPU Xeon VM, at 8192 up to 8 s.
+RAW_RULE_BUDGET = 4096
+
 #: The most rules one simplified syntactic translation may build: the
-#: rules of every Lemma 1 step plus the body branches the simplifier
-#: expands.  Sized from measurements in CHANGES.md: at least ten times
-#: the largest count seen on the benchmark's seeds, the test corpora and
-#: the property tests.
+#: rules of every Lemma 1 and distribution step plus the body branches
+#: the simplifier expands.  Sized from measurements in CHANGES.md: at
+#: least ten times the largest count seen on the benchmark's seeds, the
+#: test corpora and the property tests.
 SIMPLIFY_RULE_BUDGET = 50_000
 
 
@@ -197,6 +217,71 @@ def _implication(
     return _implication(outer, composed, trace, budget, cap)
 
 
+def _same(f: Formula, g: Formula) -> bool:
+    return f is g or f == g
+
+
+def _encoded_disjunction(f: And) -> Optional[tuple[Formula, Formula]]:
+    """(F, G) when f is eliminate_connectives' ((F -> G) -> G) & ((G -> F) -> F).
+
+    Identity settles the common case; re-eliminating an eliminated
+    formula rebuilds the nodes, so equal copies must match too.
+    """
+    first, second = f.left, f.right
+    if type(first) is not Implies or type(second) is not Implies:
+        return None
+    forward, backward = first.antecedent, second.antecedent
+    if type(forward) is not Implies or type(backward) is not Implies:
+        return None
+    left, right = forward.antecedent, forward.consequent
+    if (
+        _same(first.consequent, right)
+        and _same(backward.antecedent, right)
+        and _same(backward.consequent, left)
+        and _same(second.consequent, left)
+    ):
+        return left, right
+    return None
+
+
+def _rule_disjunction(r: Rule, s: Rule) -> tuple[Rule, ...]:
+    """Rules equivalent in HT to (B -> H) | (C -> G), for r = B -> H, s = C -> G."""
+    b, h, c, g = r.body, r.head, s.body, s.head
+    if _is_top(b) and _is_top(c):
+        return (Rule(TOP, Or(h, g)),)
+    if _is_top(c):
+        return (Rule(b, Or(h, g)), Rule(neg(h), Or(neg(b), g)))
+    if _is_top(b):
+        return (Rule(c, Or(h, g)), Rule(neg(g), Or(h, neg(c))))
+    return (
+        Rule(And(b, c), Or(h, g)),
+        Rule(And(neg(h), c), Or(neg(b), g)),
+        Rule(And(b, neg(g)), Or(h, neg(c))),
+        Rule(And(neg(h), neg(g)), Or(neg(b), neg(c))),
+    )
+
+
+def _disjunction(
+    rules1: tuple[Rule, ...],
+    rules2: tuple[Rule, ...],
+    trace: Optional[RewriteTrace],
+    budget: _RuleBudget,
+    cap: int,
+) -> tuple[Rule, ...]:
+    """The rules of rules1 | rules2: | distributed over every pair of rules."""
+    budget.spend(4 * len(rules1) * len(rules2))
+    out = tuple(
+        rule for r in rules1 for s in rules2 for rule in _rule_disjunction(r, s)
+    )
+    if trace is not None:
+        trace.record(
+            "or-distribute",
+            Or(_rules_formula(rules1), _rules_formula(rules2)),
+            _rules_formula(out),
+        )
+    return _simplify_rules(out, trace, cap, budget)
+
+
 def _convert(
     f: Formula,
     trace: Optional[RewriteTrace],
@@ -209,6 +294,16 @@ def _convert(
     if kind is Bottom:
         return (Rule(TOP, BOT),)
     if kind is And:
+        if budget is not None:
+            encoded = _encoded_disjunction(f)
+            if encoded is not None:
+                return _disjunction(
+                    _convert(encoded[0], trace, budget, cap),
+                    _convert(encoded[1], trace, budget, cap),
+                    trace,
+                    budget,
+                    cap,
+                )
         left = _convert(f.left, trace, budget, cap)
         right = _convert(f.right, trace, budget, cap)
         merged = left + right
@@ -240,14 +335,15 @@ def formula_to_program_syn(
 ) -> Program:
     """A program equivalent to f in here-and-there, by syntactic rewriting.
 
-    With simplify=True every intermediate implication reduction is
-    cleaned up before the recursion continues, the way one would work by
-    hand, within SIMPLIFY_RULE_BUDGET; the default emits the literal
-    construction.  Rules may still have nested bodies and heads either way.
+    With simplify=True disjunctions are distributed over the rules of
+    their sides, and every intermediate reduction is cleaned up before
+    the recursion continues, the way one would work by hand, within
+    SIMPLIFY_RULE_BUDGET; the default emits the literal construction
+    within RAW_RULE_BUDGET.  Rules may still have nested bodies and heads
+    either way.
     """
-    no_or = eliminate_connectives(f, trace)
-    budget = _RuleBudget(SIMPLIFY_RULE_BUDGET) if simplify else None
-    rules = _convert(no_or, trace, budget, cap)
+    budget = _budget((f,), simplify)
+    rules = _convert(eliminate_connectives(f, trace), trace, budget, cap)
     return Program(rules, atoms_of(f))
 
 
@@ -292,6 +388,21 @@ def estimated_rule_count(f: Formula) -> int:
     return count(f)
 
 
+def _budget(formulas: Iterable[Formula], simplify: bool) -> Optional[_RuleBudget]:
+    """The running budget of a simplified translation; for a raw one, None
+    once the estimate of its size is within RAW_RULE_BUDGET."""
+    if simplify:
+        return _RuleBudget(SIMPLIFY_RULE_BUDGET)
+    needed = sum(estimated_rule_count(f) for f in formulas)
+    if needed > RAW_RULE_BUDGET:
+        at_least = "at least " if needed >= RULE_COUNT_CEILING else ""
+        raise RuleBudgetExceededError(
+            f"the raw syntactic translation has {at_least}{needed} rules, "
+            f"over the budget of {RAW_RULE_BUDGET}"
+        )
+    return None
+
+
 def theory_to_program_syn(
     t: Theory,
     simplify: bool = False,
@@ -300,9 +411,10 @@ def theory_to_program_syn(
 ) -> Program:
     """Formula-by-formula syntactic conversion of a theory, unioned.
 
-    With simplify=True the whole theory shares one SIMPLIFY_RULE_BUDGET.
+    With simplify=True the whole theory shares one SIMPLIFY_RULE_BUDGET;
+    without it, the estimates of all formulas share RAW_RULE_BUDGET.
     """
-    budget = _RuleBudget(SIMPLIFY_RULE_BUDGET) if simplify else None
+    budget = _budget(t.formulas, simplify)
     rules: dict[Rule, None] = {}
     for f in t.formulas:
         rules.update(

@@ -167,6 +167,18 @@ class TestToProgram:
             assert code == 0
             assert out.splitlines()[-1] == "VERIFIED"
 
+    @pytest.mark.parametrize("text, expected", [
+        ("(q -> p) | r", "q -> p | r\n~p -> ~q | r\n"),
+        ("p | q | r", "p | q | r\n"),
+    ])
+    def test_syntactic_simplify_distributes_disjunctions(
+        self, capsys, tmp_path, text, expected
+    ):
+        path = write(tmp_path, "or.lp", text + "\n")
+        assert run_cli(
+            capsys, "to-program", "--method=syntactic", "--simplify", path
+        ) == (0, expected, "")
+
     def test_syntactic_simplify_contains_worked_rule(self, capsys, tmp_path):
         path = write(tmp_path, "sub.lp", "r -> (q -> p)\n")
         code, out, _ = run_cli(
@@ -379,9 +391,9 @@ class TestErrors:
 
     def test_raw_rule_budget_boundary(self, capsys, formula2_file, monkeypatch):
         command = ("to-program", "--method", "syntactic", formula2_file)
-        monkeypatch.setattr(cli, "RAW_RULE_BUDGET", 48)  # the example's raw size
+        monkeypatch.setattr(rewriting, "RAW_RULE_BUDGET", 48)  # the example's raw size
         assert run_cli(capsys, *command)[0] == 0
-        monkeypatch.setattr(cli, "RAW_RULE_BUDGET", 47)
+        monkeypatch.setattr(rewriting, "RAW_RULE_BUDGET", 47)
         code, out, err = run_cli(capsys, *command)
         assert (code, out) == (3, "")
         assert err == (
@@ -393,7 +405,9 @@ class TestErrors:
     def test_simplified_rule_budget_exit_3(self, capsys, tmp_path, monkeypatch):
         # Without a running budget this input runs without bound; a low
         # budget keeps the test fast.
-        path = write(tmp_path, "big.lp", "((a|b)->(c|d))->((b|c)->(d|a))\n")
+        path = write(
+            tmp_path, "big.lp", "~(((~a -> ~((~b -> ~d) & d)) -> ~(c | ~a)) -> a)\n"
+        )
         monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 2000)
         code, out, err = run_cli(
             capsys, "to-program", "--method", "syntactic", "--simplify", path
@@ -406,14 +420,24 @@ class TestErrors:
 
     def test_simplified_rule_budget_boundary(self, capsys, formula2_file, monkeypatch):
         command = ("to-program", "--method", "syntactic", "--simplify", formula2_file)
-        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 58)  # the example's count
+        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 9)  # the example's count
         assert run_cli(capsys, *command)[0] == 0
-        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 57)
+        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 8)
         code, out, err = run_cli(capsys, *command)
         assert (code, out) == (3, "")
-        assert err.startswith("error: ") and "57" in err and "Traceback" not in err
+        assert err.startswith("error: ") and "8" in err and "Traceback" not in err
         # The raw translation has its own budget, checked up front.
         assert run_cli(capsys, "to-program", "--method", "syntactic", formula2_file)[0] == 0
+
+    def test_simplified_disjunctions_within_the_budget(self, capsys, tmp_path):
+        # Lemma 1 on the encoding of | would pass the budget; distributed,
+        # this is 8 rules.
+        path = write(tmp_path, "four.lp", "((a|b)->(c|d))->((b|c)->(d|a))\n")
+        code, out, err = run_cli(
+            capsys, "to-program", "--method", "syntactic", "--simplify", "--verify", path
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 9 and out.endswith("\nVERIFIED\n")
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.lp", "p -> (q\n")

@@ -5,7 +5,7 @@ semantics must equal the one-interpretation-at-a-time reference in
 ht_reference.py, listings in the same order.
 """
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import formula_reference
@@ -20,9 +20,13 @@ from htlp import (
     Implies,
     InterpretationSet,
     Or,
+    Program,
+    Rule,
+    RuleBudgetExceededError,
     Signature,
     Theory,
     atoms_of,
+    conj,
     equilibrium_models,
     estimated_rule_count,
     is_nested_expression,
@@ -46,9 +50,12 @@ from htlp import (
 from htlp.formula import _is_top
 from htlp.rewriting import (
     RewriteTrace,
+    _RuleBudget,
+    _disjunction,
     _flatten_and,
     _flatten_or,
     _normalize,
+    _rule_disjunction,
     eliminate_connectives,
 )
 from api_reference import enumerate_interpretations
@@ -248,6 +255,80 @@ def test_raw_syntactic_translation(f):
 def test_simplified_syntactic_translation(t):
     program = theory_to_program_syn(t, simplify=True)
     assert program_models(program, t.signature) == ref.models(t)
+
+
+# Disjunctions nested in disjunctions: raw, each has more than 2^64 rules.
+disjunctions = st.builds(Or, formulas, formulas)
+nested_disjunctions = (
+    st.builds(Or, disjunctions, formulas)
+    | st.builds(Or, formulas, disjunctions)
+    | st.builds(Implies, disjunctions, disjunctions)
+)
+
+
+@fixed
+@given(theories(formula=nested_disjunctions))
+def test_simplified_translation_of_nested_disjunctions(t):
+    assert all(estimated_rule_count(f) > 4096 for f in t.formulas)
+    try:
+        program = theory_to_program_syn(t, simplify=True)
+    except RuleBudgetExceededError:
+        assume(False)
+    assert program_models(program, t.signature) == ref.models(t)
+
+
+@fixed
+@given(formulas | nested_disjunctions)
+def test_simplified_translation_of_an_eliminated_formula(f):
+    # The benchmark's traced run stages the translation this way.
+    try:
+        direct = formula_to_program_syn(f, simplify=True)
+    except RuleBudgetExceededError:
+        assume(False)
+    staged = formula_to_program_syn(eliminate_connectives(f), simplify=True)
+    assert staged.rules == direct.rules
+    assert staged.signature == direct.signature
+
+
+# Atoms often, so that the identities' schemata themselves are drawn.
+sides = st.sampled_from(ATOMS).map(Atom) | nested
+bodies = st.just(TOP) | sides
+
+
+def disjunction_models(rules1, rules2, rules):
+    """The models of rules, and those of the disjunction of the two programs."""
+    disjunction = Or(
+        conj(r.to_formula() for r in rules1), conj(r.to_formula() for r in rules2)
+    )
+    sig = atoms_of(disjunction)
+    return (
+        program_models(Program(tuple(rules), sig), sig),
+        ref.models(Theory((disjunction,), sig)),
+    )
+
+
+@fixed
+@given(bodies, sides, bodies, sides)
+@example(Atom("a"), Atom("b"), Atom("c"), Atom("d"))
+@example(Atom("a"), Atom("b"), TOP, Atom("d"))
+@example(TOP, Atom("b"), Atom("c"), Atom("d"))
+def test_disjunction_of_two_rules(b, h, c, g):
+    r, s = Rule(b, h), Rule(c, g)
+    rules = _rule_disjunction(r, s)
+    got, expected = disjunction_models((r,), (s,), rules)
+    assert got == expected
+    assert len(rules) == (4, 2, 1)[_is_top(b) + _is_top(c)]
+
+
+@fixed
+@given(st.lists(st.builds(Rule, bodies, sides), max_size=3),
+       st.lists(st.builds(Rule, bodies, sides), max_size=3))
+def test_disjunction_of_two_programs(rules1, rules2):
+    budget = _RuleBudget(10_000)
+    rules = _disjunction(tuple(rules1), tuple(rules2), None, budget, 20)
+    assert budget.spent >= 4 * len(rules1) * len(rules2)
+    got, expected = disjunction_models(rules1, rules2, rules)
+    assert got == expected
 
 
 @fixed

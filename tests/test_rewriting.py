@@ -232,13 +232,13 @@ class TestEstimatedRuleCount:
 
 class TestSimplifiedRuleBudget:
     def test_one_budget_per_translation(self, monkeypatch):
-        # Simplified, each of these builds 58 rules and body branches.
+        # Simplified, each of these builds 9 rules and body branches.
         first, second = parse("(q -> p) | r"), parse("(p -> q) | r")
-        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 58)
+        monkeypatch.setattr(rewriting, "SIMPLIFY_RULE_BUDGET", 9)
         for f in (first, second):
             assert len(formula_to_program_syn(f, simplify=True)) > 0
             assert len(theory_to_program_syn(Theory((f,)), simplify=True)) > 0
-        with pytest.raises(RuleBudgetExceededError, match="more than 58 rules"):
+        with pytest.raises(RuleBudgetExceededError, match="more than 9 rules"):
             theory_to_program_syn(Theory((first, second)), simplify=True)
 
     def test_counts_only_the_simplified_translation(self, monkeypatch):
@@ -248,6 +248,41 @@ class TestSimplifiedRuleBudget:
         assert len(simplify(formula_to_program_syn(f))) > 0
         with pytest.raises(RuleBudgetExceededError):
             formula_to_program_syn(f, simplify=True)
+
+
+class TestRawRuleBudget:
+    # Built, p | q | r has more than 2^64 rules; the estimate refuses it
+    # before anything is built.
+    def test_formula_refused_up_front(self):
+        with pytest.raises(
+            RuleBudgetExceededError,
+            match=r"^the raw syntactic translation has at least \d+ rules, "
+            r"over the budget of 4096$",
+        ):
+            formula_to_program_syn(parse("p | q | r"))
+
+    def test_theory_refused_up_front(self):
+        trace = RewriteTrace()
+        with pytest.raises(RuleBudgetExceededError, match="budget of 4096"):
+            theory_to_program_syn(Theory((parse("p"), parse("p | q | r"))), trace=trace)
+        assert trace.steps == []
+
+    def test_estimates_of_a_theory_add_up(self, monkeypatch):
+        t = Theory((parse("(q -> p) | r"), parse("(p -> q) | r")))
+        monkeypatch.setattr(rewriting, "RAW_RULE_BUDGET", 96)
+        assert len(theory_to_program_syn(t)) > 0
+        monkeypatch.setattr(rewriting, "RAW_RULE_BUDGET", 95)
+        with pytest.raises(
+            RuleBudgetExceededError,
+            match="^the raw syntactic translation has 96 rules, over the budget of 95$",
+        ):
+            theory_to_program_syn(t)
+
+    def test_not_checked_when_simplifying(self, monkeypatch):
+        monkeypatch.setattr(rewriting, "RAW_RULE_BUDGET", 0)
+        assert len(formula_to_program_syn(parse("p | q | r"), simplify=True)) == 1
+        t = Theory((parse("(q -> p) | r"),))
+        assert len(theory_to_program_syn(t, simplify=True)) == 2
 
 
 class TestWorkedExample:
@@ -324,7 +359,7 @@ class TestSimplify:
 class TestTrace:
     ALLOWED = {
         "or-elim", "lemma1", "lemma2-split", "currying", "conj-merge",
-        "simplify-rewrite", "simplify-drop-taut", "simplify-dedup",
+        "or-distribute", "simplify-rewrite", "simplify-drop-taut", "simplify-dedup",
     }
 
     def test_steps_are_equivalence_preserving(self):
@@ -336,6 +371,16 @@ class TestTrace:
             before = single(step.before, "p", "q", "r")
             after = Theory((step.after,), before.signature)
             assert ht_equivalent(before, after).equivalent
+
+    def test_distribution_recorded_only_when_simplifying(self):
+        f = parse("(q -> p) | r")
+        simplified, raw = RewriteTrace(), RewriteTrace()
+        formula_to_program_syn(f, simplify=True, trace=simplified)
+        formula_to_program_syn(f, trace=raw)
+        names = [step.rule_name for step in simplified.steps]
+        assert names[0] == "or-elim" and "or-distribute" in names
+        assert "lemma1" not in names[names.index("or-distribute"):]
+        assert "or-distribute" not in {step.rule_name for step in raw.steps}
 
     def test_currying_recorded_for_larger_antecedents(self):
         trace = RewriteTrace()
