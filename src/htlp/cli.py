@@ -15,10 +15,9 @@ with it).
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .counting import CountBoundExceededError, count_formula, factor_table
 from .countermodels import theory_to_dnf_clauses, theory_to_program_cm
@@ -191,7 +190,9 @@ def _interp_json(interp: HtInterpretation) -> dict:
 
 
 def _emit_structured(args: argparse.Namespace, sig: Signature, results: dict,
-                     verification: Optional[str] = None) -> None:
+                     verification: str | None = None) -> None:
+    import json  # only --format structured pays for it
+
     document = {
         "command": args.subcommand,
         "signature": list(sig),
@@ -245,7 +246,7 @@ def _translate(args: argparse.Namespace, theory: Theory) -> Program:
 
 def _verify(
     args: argparse.Namespace, theory: Theory, translated: Callable[[], Theory]
-) -> tuple[Optional[str], int]:
+) -> tuple[str | None, int]:
     """--verify's verdict on the translation of theory, and the exit code."""
     if not args.verify:
         return None, EXIT_OK
@@ -346,7 +347,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     if getattr(args, "cap", 0) > CAP_ACK_LIMIT and not args.allow_large:
         print(

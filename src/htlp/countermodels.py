@@ -13,10 +13,9 @@ a clause, so distinct interpretations give distinct rules and clauses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .formula import Atom, Formula, Implies, Program, Rule, Theory, conj, disj, neg
+from .formula import Atom, Formula, Implies, Program, Rule, Theory, Value, conj, disj, neg
 from .semantics import (
     DEFAULT_CAP,
     HtInterpretation,
@@ -37,20 +36,24 @@ class NotTotalClosedError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class CountermodelRule:
+class CountermodelRule(Value):
     """The nonnested rule excluding one interpretation, with its source."""
 
-    source: HtInterpretation
-    rule: Rule
+    __slots__ = __match_args__ = ("source", "rule")
+
+    def __init__(self, source: HtInterpretation, rule: Rule) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "rule", rule)
 
 
-@dataclass(frozen=True)
-class DnfClause:
+class DnfClause(Value):
     """The characteristic conjunction of one interpretation, with its source."""
 
-    source: HtInterpretation
-    clause: Formula
+    __slots__ = __match_args__ = ("source", "clause")
+
+    def __init__(self, source: HtInterpretation, clause: Formula) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "clause", clause)
 
 
 @lru_cache(maxsize=1024)

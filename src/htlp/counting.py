@@ -13,7 +13,8 @@ brute-force counts (tests/count_reference.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .formula import Value
 
 #: The count has about 3^n bits; n = 12 has 158,754 decimal digits.
 FORMULA_MAX_N = 12
@@ -24,10 +25,12 @@ class CountBoundExceededError(ValueError):
         super().__init__(f"{what} supports n <= {bound}, got {n}")
 
 
-@dataclass(frozen=True)
-class ProgramCount:
-    n: int
-    value: int
+class ProgramCount(Value):
+    __slots__ = __match_args__ = ("n", "value")
+
+    def __init__(self, n: int, value: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
 
 
 def count_formula(n: int) -> ProgramCount:

@@ -12,19 +12,16 @@ A *nested expression* is a formula whose implications are all negations
 expressions, and a *program* is a set of rules.  Bare nested expressions
 count as rules with body top.
 
-Nodes and rules are immutable values, compared and hashed by their
-fields, with __slots__ declared by hand (under dataclass(slots=True) the
-frozen __setattr__ raises TypeError for names that are not fields).
-Every constructor still checks, and copies and pickles are rebuilt
-through the constructors.  The walks dispatch on the exact node type, so
-the node kinds are not meant to be subclassed.
+Nodes, rules, theories and programs are immutable values (Value), compared
+and hashed by their fields.  Every constructor checks, and copies and
+pickles are rebuilt through the constructors.  The walks dispatch on the
+exact node type, so the node kinds are not meant to be subclassed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from collections.abc import Iterable, Iterator
 
 _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -36,60 +33,146 @@ def is_valid_atom_name(name: str) -> bool:
     return bool(_ATOM_NAME.match(name)) and name not in RESERVED_WORDS
 
 
-class Formula:
+class Value:
+    """An immutable value whose fields are named, in order, by __match_args__.
+
+    Instances are equal and hashed by their fields, as frozen dataclasses
+    are; assignment and deletion raise dataclasses.FrozenInstanceError;
+    copies and pickles go back through the constructor.  Subclasses
+    declare __slots__ and, since their own __setattr__ raises, set their
+    fields in __init__ with object.__setattr__, or where construction is
+    hot with the slot descriptors' __set__.  The node kinds and Rule spell
+    __eq__ and __hash__ out over their fields: trees are hashed and
+    compared node by node, where the generic methods cost about twice as
+    much.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # only on this error path
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class Formula(Value):
     """Base class of the five syntax-tree node kinds."""
 
     __slots__ = ()
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
     def __repr__(self) -> str:
-        return to_text(self)
+        try:
+            return to_text(self)
+        except TypeError:  # a malformed tree, such as Implies(BOT, None)
+            return Value.__repr__(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Bottom(Formula):
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
 
-@dataclass(frozen=True, repr=False)
+    def __hash__(self) -> int:
+        return hash(())
+
+
 class Atom(Formula):
-    __slots__ = ("name",)
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not is_valid_atom_name(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not is_valid_atom_name(name):
+            raise ValueError(f"invalid atom name: {name!r}")
+        _set_name(self, name)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
 
-@dataclass(frozen=True, repr=False)
-class And(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, repr=False)
-class Or(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, repr=False)
+class _Binary(Formula):
+    """The fields and methods And and Or share; not a node kind itself."""
+
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
 class Implies(Formula):
-    __slots__ = ("antecedent", "consequent")
-    antecedent: Formula
-    consequent: Formula
+    __slots__ = __match_args__ = ("antecedent", "consequent")
 
+    def __init__(self, antecedent: Formula, consequent: Formula) -> None:
+        _set_antecedent(self, antecedent)
+        _set_consequent(self, consequent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.antecedent, self.consequent) == (other.antecedent, other.consequent)
+
+    def __hash__(self) -> int:
+        return hash((self.antecedent, self.consequent))
+
+
+# The slot descriptors' setters, the cheapest way past Value.__setattr__.
+_set_name = Atom.name.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_antecedent, _set_consequent = Implies.antecedent.__set__, Implies.consequent.__set__
 
 BOT = Bottom()
 TOP = Implies(BOT, BOT)
 
 
 def _is_top(f: object) -> bool:
-    """f == TOP, by node type: no field-by-field dataclass comparison."""
+    """f == TOP, by node type: no field-by-field comparison."""
     return (
         type(f) is Implies
         and type(f.antecedent) is Bottom
@@ -109,7 +192,7 @@ def iff(f: Formula, g: Formula) -> Formula:
 
 def conj(parts: Iterable[Formula]) -> Formula:
     """Left-associated conjunction; the empty conjunction is top."""
-    acc: Optional[Formula] = None
+    acc: Formula | None = None
     for part in parts:
         acc = part if acc is None else And(acc, part)
     return TOP if acc is None else acc
@@ -117,7 +200,7 @@ def conj(parts: Iterable[Formula]) -> Formula:
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Left-associated disjunction; the empty disjunction is bot."""
-    acc: Optional[Formula] = None
+    acc: Formula | None = None
     for part in parts:
         acc = part if acc is None else Or(acc, part)
     return BOT if acc is None else acc
@@ -182,7 +265,7 @@ def atoms_of(*formulas: Formula) -> Signature:
     return Signature(names)
 
 
-def _covering(signature: Optional[Signature], formulas: Iterable[Formula]) -> Signature:
+def _covering(signature: Signature | None, formulas: Iterable[Formula]) -> Signature:
     """signature, by default the formulas' atoms, which it must cover."""
     occurring = atoms_of(*formulas)
     signature = occurring if signature is None else signature
@@ -192,20 +275,21 @@ def _covering(signature: Optional[Signature], formulas: Iterable[Formula]) -> Si
     return signature
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Value):
     """A finite list of formulas over an explicit signature.
 
     The signature always covers the occurring atoms and may be strictly
     larger when supplied explicitly.
     """
 
-    formulas: tuple[Formula, ...]
-    signature: Signature = None  # type: ignore[assignment]
+    __slots__ = __match_args__ = ("formulas", "signature")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "formulas", tuple(self.formulas))
-        object.__setattr__(self, "signature", _covering(self.signature, self.formulas))
+    def __init__(
+        self, formulas: Iterable[Formula], signature: Signature | None = None
+    ) -> None:
+        formulas = tuple(formulas)
+        object.__setattr__(self, "formulas", formulas)
+        object.__setattr__(self, "signature", _covering(signature, formulas))
 
     def union(self, other: "Theory") -> "Theory":
         """Set union of the two theories over the union signature."""
@@ -263,7 +347,7 @@ def _is_literal_disjunction(f: Formula) -> bool:
     return is_literal(f)
 
 
-def _split_rule(f: Formula) -> Optional[tuple[Formula, Formula]]:
+def _split_rule(f: Formula) -> tuple[Formula, Formula] | None:
     """Body/head decomposition of a formula in rule form, or None.
 
     A proper implication between nested expressions splits as written,
@@ -302,19 +386,26 @@ def is_nonnested_rule(f: Formula) -> bool:
     return body_ok and head_ok
 
 
-@dataclass(frozen=True, repr=False)
-class Rule:
+class Rule(Value):
     """body -> head with both sides nested expressions."""
 
-    __slots__ = ("body", "head")
-    body: Formula
-    head: Formula
+    __slots__ = __match_args__ = ("body", "head")
 
-    def __post_init__(self) -> None:
-        if not is_nested_expression(self.body):
-            raise ValueError(f"rule body is not a nested expression: {self.body!r}")
-        if not is_nested_expression(self.head):
-            raise ValueError(f"rule head is not a nested expression: {self.head!r}")
+    def __init__(self, body: Formula, head: Formula) -> None:
+        if not is_nested_expression(body):
+            raise ValueError(f"rule body is not a nested expression: {body!r}")
+        if not is_nested_expression(head):
+            raise ValueError(f"rule head is not a nested expression: {head!r}")
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "head", head)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.body, self.head) == (other.body, other.head)
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.head))
 
     @staticmethod
     def from_formula(f: Formula) -> "Rule":
@@ -322,9 +413,6 @@ class Rule:
         if split is None:
             raise ValueError(f"formula is not a rule: {f!r}")
         return Rule(*split)
-
-    def __reduce__(self):
-        return Rule, (self.body, self.head)
 
     def to_formula(self) -> Formula:
         return self.head if _is_top(self.body) else Implies(self.body, self.head)
@@ -336,17 +424,18 @@ class Rule:
         return rule_to_text(self)
 
 
-@dataclass(frozen=True, repr=False)
-class Program:
+class Program(Value):
     """A finite list of rules over an explicit signature."""
 
-    rules: tuple[Rule, ...]
-    signature: Signature = None  # type: ignore[assignment]
+    __slots__ = __match_args__ = ("rules", "signature")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        sides = (side for r in self.rules for side in (r.body, r.head))
-        object.__setattr__(self, "signature", _covering(self.signature, sides))
+    def __init__(
+        self, rules: Iterable[Rule], signature: Signature | None = None
+    ) -> None:
+        rules = tuple(rules)
+        sides = (side for r in rules for side in (r.body, r.head))
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "signature", _covering(signature, sides))
 
     def is_nonnested(self) -> bool:
         return all(r.is_nonnested() for r in self.rules)

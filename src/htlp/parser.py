@@ -18,8 +18,6 @@ that occur.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
 
 from .formula import (
     BOT,
@@ -31,6 +29,7 @@ from .formula import (
     Or,
     Signature,
     Theory,
+    Value,
     iff,
     is_valid_atom_name,
     neg,
@@ -51,12 +50,14 @@ class ParseError(Exception):
         super().__init__(f"line {line}, column {column}: {message}{suffix}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+class Token(Value):
+    __slots__ = __match_args__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 _TOKEN_RE = re.compile(
@@ -197,7 +198,7 @@ def parse(text: str, start_line: int = 1) -> Formula:
     return result
 
 
-def parse_theory(text: str, signature: Optional[Signature] = None) -> Theory:
+def parse_theory(text: str, signature: Signature | None = None) -> Theory:
     """Parse a theory file: one formula per line, '%' comments allowed.
 
     '#signature a b c' lines extend the signature; atoms passed via the

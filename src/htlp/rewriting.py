@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .formula import (
     BOT,
@@ -59,6 +58,7 @@ from .formula import (
     Program,
     Rule,
     Theory,
+    Value,
     _is_top,
     atoms_of,
     conj,
@@ -69,11 +69,13 @@ from .formula import (
 from .semantics import DEFAULT_CAP, CapExceededError, ht_valid
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    rule_name: str
-    before: Formula
-    after: Formula
+class TraceStep(Value):
+    __slots__ = __match_args__ = ("rule_name", "before", "after")
+
+    def __init__(self, rule_name: str, before: Formula, after: Formula) -> None:
+        object.__setattr__(self, "rule_name", rule_name)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
     def render(self) -> str:
         return f"STEP {self.rule_name}: {to_text(self.before)} ==> {to_text(self.after)}"
@@ -97,7 +99,7 @@ def _rules_formula(rules: Iterable[Rule]) -> Formula:
 
 
 def eliminate_connectives(
-    f: Formula, trace: Optional[RewriteTrace] = None
+    f: Formula, trace: RewriteTrace | None = None
 ) -> Formula:
     """An equivalent formula over atoms, bot, & and -> only."""
     kind = type(f)
@@ -164,8 +166,8 @@ class _RuleBudget:
 def _implication(
     rules1: tuple[Rule, ...],
     rules2: tuple[Rule, ...],
-    trace: Optional[RewriteTrace],
-    budget: Optional[_RuleBudget] = None,
+    trace: RewriteTrace | None,
+    budget: _RuleBudget | None = None,
     cap: int = DEFAULT_CAP,
 ) -> tuple[Rule, ...]:
     """The rules of rules1 -> rules2; budget is None for the literal construction."""
@@ -221,7 +223,7 @@ def _same(f: Formula, g: Formula) -> bool:
     return f is g or f == g
 
 
-def _encoded_disjunction(f: And) -> Optional[tuple[Formula, Formula]]:
+def _encoded_disjunction(f: And) -> tuple[Formula, Formula] | None:
     """(F, G) when f is eliminate_connectives' ((F -> G) -> G) & ((G -> F) -> F).
 
     Identity settles the common case; re-eliminating an eliminated
@@ -264,7 +266,7 @@ def _rule_disjunction(r: Rule, s: Rule) -> tuple[Rule, ...]:
 def _disjunction(
     rules1: tuple[Rule, ...],
     rules2: tuple[Rule, ...],
-    trace: Optional[RewriteTrace],
+    trace: RewriteTrace | None,
     budget: _RuleBudget,
     cap: int,
 ) -> tuple[Rule, ...]:
@@ -284,8 +286,8 @@ def _disjunction(
 
 def _convert(
     f: Formula,
-    trace: Optional[RewriteTrace],
-    budget: Optional[_RuleBudget],
+    trace: RewriteTrace | None,
+    budget: _RuleBudget | None,
     cap: int,
 ) -> tuple[Rule, ...]:
     kind = type(f)
@@ -330,7 +332,7 @@ def _convert(
 def formula_to_program_syn(
     f: Formula,
     simplify: bool = False,
-    trace: Optional[RewriteTrace] = None,
+    trace: RewriteTrace | None = None,
     cap: int = DEFAULT_CAP,
 ) -> Program:
     """A program equivalent to f in here-and-there, by syntactic rewriting.
@@ -388,7 +390,7 @@ def estimated_rule_count(f: Formula) -> int:
     return count(f)
 
 
-def _budget(formulas: Iterable[Formula], simplify: bool) -> Optional[_RuleBudget]:
+def _budget(formulas: Iterable[Formula], simplify: bool) -> _RuleBudget | None:
     """The running budget of a simplified translation; for a raw one, None
     once the estimate of its size is within RAW_RULE_BUDGET."""
     if simplify:
@@ -406,7 +408,7 @@ def _budget(formulas: Iterable[Formula], simplify: bool) -> Optional[_RuleBudget
 def theory_to_program_syn(
     t: Theory,
     simplify: bool = False,
-    trace: Optional[RewriteTrace] = None,
+    trace: RewriteTrace | None = None,
     cap: int = DEFAULT_CAP,
 ) -> Program:
     """Formula-by-formula syntactic conversion of a theory, unioned.
@@ -531,7 +533,7 @@ def _rule_ht_valid(rule: Rule, cap: int) -> bool:
 
 def _propagate_units(
     d: Formula, unit_set: set[Formula]
-) -> Optional[Formula]:
+) -> Formula | None:
     """Rewrite one head disjunct under the body units, None when dead."""
     if neg(d) in unit_set:
         return None
@@ -553,7 +555,7 @@ def _propagate_units(
 
 def _simplify_head(
     units: list[Formula], head: Formula, cap: int
-) -> Optional[Rule]:
+) -> Rule | None:
     """The cleaned-up rule for one body branch, None when tautological."""
     unit_set = set(units)
     kept: list[Formula] = []
@@ -582,9 +584,9 @@ def _simplify_head(
 
 def _simplify_rule(
     r: Rule,
-    trace: Optional[RewriteTrace],
+    trace: RewriteTrace | None,
     cap: int,
-    budget: Optional[_RuleBudget],
+    budget: _RuleBudget | None,
 ) -> list[Rule]:
     body = _normalize(r.body)
     head = _normalize(r.head)
@@ -608,7 +610,7 @@ def _simplify_rule(
 
 
 def _record_simplify(
-    trace: Optional[RewriteTrace], before: Rule, results: list[Rule]
+    trace: RewriteTrace | None, before: Rule, results: list[Rule]
 ) -> None:
     if trace is None:
         return
@@ -620,9 +622,9 @@ def _record_simplify(
 
 def _simplify_rules(
     rules: tuple[Rule, ...],
-    trace: Optional[RewriteTrace],
+    trace: RewriteTrace | None,
     cap: int,
-    budget: Optional[_RuleBudget] = None,
+    budget: _RuleBudget | None = None,
 ) -> tuple[Rule, ...]:
     out: list[Rule] = []
     for r in rules:
@@ -634,7 +636,7 @@ def _simplify_rules(
 
 
 def simplify(
-    p: Program, cap: int = DEFAULT_CAP, trace: Optional[RewriteTrace] = None
+    p: Program, cap: int = DEFAULT_CAP, trace: RewriteTrace | None = None
 ) -> Program:
     """Equivalence-preserving cleanup; never changes the model set."""
     return Program(_simplify_rules(tuple(p.rules), trace, cap), p.signature)

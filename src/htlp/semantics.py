@@ -32,8 +32,7 @@ subset tests and allocate nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from collections.abc import Callable, Iterable, Iterator
 
 from .formula import (
     And,
@@ -44,6 +43,7 @@ from .formula import (
     Or,
     Signature,
     Theory,
+    Value,
     atoms_of,
 )
 
@@ -70,10 +70,10 @@ def format_atom_set(atoms: Iterable[str]) -> str:
     return " ".join(names) if names else "∅"
 
 
-class HtInterpretation:
+class HtInterpretation(Value):
     """A pair (here, there) of atom sets over a signature; immutable."""
 
-    __slots__ = ("here", "there", "over")
+    __slots__ = __match_args__ = ("here", "there", "over")
 
     here: frozenset[str]
     there: frozenset[str]
@@ -91,31 +91,9 @@ class HtInterpretation:
         if not there <= over.names:
             extra = there - over.names
             raise ValueError(f"atoms outside the signature: {sorted(extra)}")
-        init = object.__setattr__
-        init(self, "here", here)
-        init(self, "there", there)
-        init(self, "over", over)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return HtInterpretation, (self.here, self.there, self.over)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.here == other.here
-            and self.there == other.there
-            and self.over == other.over
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.here, self.there, self.over))
+        _set_here(self, here)
+        _set_there(self, there)
+        _set_over(self, over)
 
     def total(self) -> bool:
         return self.here == self.there
@@ -125,6 +103,11 @@ class HtInterpretation:
 
     def __repr__(self) -> str:
         return f"({self.display()})"
+
+
+_set_here = HtInterpretation.here.__set__
+_set_there = HtInterpretation.there.__set__
+_set_over = HtInterpretation.over.__set__
 
 
 # --- the evaluator -----------------------------------------------------
@@ -164,7 +147,7 @@ def _tables(f: Formula, atom: Callable[[str], _Tables], full: int) -> _Tables:
 class _Space:
     """The 3^n interpretations over a signature, as table positions."""
 
-    def __init__(self, sig: Signature, cap: Optional[int] = None) -> None:
+    def __init__(self, sig: Signature, cap: int | None = None) -> None:
         if cap is not None and len(sig) > cap:
             raise CapExceededError(len(sig), cap)
         self.signature = sig
@@ -206,7 +189,7 @@ class _Space:
                 yield y
 
     def members(
-        self, table: int, columns: Optional[int] = None
+        self, table: int, columns: int | None = None
     ) -> Iterator[HtInterpretation]:
         """table's interpretations in canonical order, from the given totals' columns."""
         bits = table.to_bytes(self.size // 8 + 1, "little")
@@ -222,8 +205,7 @@ class _Space:
                 x = (x - y) & y  # the next submask of y
 
 
-@dataclass(frozen=True)
-class InterpretationSet:
+class InterpretationSet(Value):
     """A finite set of interpretations over one signature.
 
     Members are kept deduplicated in the canonical enumeration order
@@ -231,21 +213,24 @@ class InterpretationSet:
     equal structurally.
     """
 
-    members: tuple[HtInterpretation, ...]
-    signature: Signature = None  # type: ignore[assignment]
+    __slots__ = ("members", "signature", "_table")
+    __match_args__ = ("members", "signature")
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if self.signature is None:
+    def __init__(
+        self, members: Iterable[HtInterpretation], signature: Signature | None = None
+    ) -> None:
+        members = tuple(members)
+        if signature is None:
             if not members:
                 raise ValueError("empty set needs an explicit signature")
-            object.__setattr__(self, "signature", members[0].over)
+            signature = members[0].over
         for m in members:
-            if m.over != self.signature:
+            if m.over != signature:
                 raise ValueError(
-                    f"interpretation over {m.over!r} in a set over {self.signature!r}"
+                    f"interpretation over {m.over!r} in a set over {signature!r}"
                 )
-        space = _Space(self.signature)
+        object.__setattr__(self, "signature", signature)
+        space = _Space(signature)
         weight = space.weight
         positions = {
             sum(weight[a] for a in m.there) + sum(weight[a] for a in m.here)
@@ -275,7 +260,7 @@ class InterpretationSet:
 
     def total_closure_violation(
         self,
-    ) -> Optional[tuple[HtInterpretation, HtInterpretation]]:
+    ) -> tuple[HtInterpretation, HtInterpretation] | None:
         """A total member whose family is incomplete, with a missing (X, Y)."""
         space = _Space(self.signature)
         missing = space.full ^ self._table
@@ -349,12 +334,16 @@ def ht_valid(f: Formula, cap: int = DEFAULT_CAP) -> bool:
     return _tables(f, space.atom, space.full)[0] == space.full
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Value):
     """Outcome of an equivalence check; witness satisfies exactly one side."""
 
-    equivalent: bool
-    witness: Optional[HtInterpretation] = None
+    __slots__ = __match_args__ = ("equivalent", "witness")
+
+    def __init__(
+        self, equivalent: bool, witness: HtInterpretation | None = None
+    ) -> None:
+        object.__setattr__(self, "equivalent", equivalent)
+        object.__setattr__(self, "witness", witness)
 
 
 def ht_equivalent(

@@ -48,6 +48,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this htlp."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 @pytest.fixture
 def formula2_file(tmp_path):
     path = tmp_path / "formula2.lp"
@@ -475,15 +482,28 @@ class TestErrors:
     def test_closed_output_pipe_ends_quietly(self, tmp_path):
         # count 12 prints 158,754 digits, more than a pipe buffer holds, so
         # htlp is still writing when the reader goes away.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         with open(tmp_path / "stderr", "wb") as err:
             child = subprocess.Popen(
                 [sys.executable, "-m", "htlp.cli", "count", "12"],
-                stdout=subprocess.PIPE, stderr=err,
-                env=dict(os.environ, PYTHONPATH=path),
+                stdout=subprocess.PIPE, stderr=err, env=_child_env(),
             )
             assert len(child.stdout.read(10)) == 10
             child.stdout.close()
             assert child.wait(timeout=60) == -signal.SIGPIPE
         assert (tmp_path / "stderr").read_bytes() == b""
+
+
+class TestStartup:
+    def test_import_loads_no_heavy_modules(self):
+        # Each command is a fresh process, so these would be paid on every run.
+        probe = (
+            "import sys; bare = set(sys.modules); import htlp.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=_child_env(), timeout=60, check=True,
+        )
+        added = set(child.stdout.split())
+        assert "htlp.cli" in added
+        assert not added & {"dataclasses", "inspect", "json"}

@@ -11,13 +11,20 @@ from htlp import (
     TOP,
     And,
     Atom,
+    CountermodelRule,
+    DnfClause,
+    EquivalenceResult,
+    HtInterpretation,
     Implies,
+    InterpretationSet,
     Or,
     ParseError,
     Program,
+    ProgramCount,
     Rule,
     Signature,
     Theory,
+    TraceStep,
     atoms_of,
     is_nested_expression,
     is_nonnested_rule,
@@ -29,6 +36,7 @@ from htlp import (
     rule_to_text,
     to_text,
 )
+from htlp.parser import Token
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -274,12 +282,52 @@ class TestRuleAndProgram:
 
 
 def _node_kinds():
-    """One instance of each node kind and of Rule, built from scratch."""
+    """One instance of each immutable value class, built from scratch."""
     a, b = Atom("a"), Atom("b")
+    sig = Signature(["a", "b"])
+    here_a = HtInterpretation({"a"}, {"a", "b"}, sig)
+    rule = Rule(And(a, neg(b)), Or(b, neg(b)))
     return [
-        BOT, a, And(a, neg(b)), Or(a, TOP), Implies(Or(a, b), neg(a)),
-        Rule(And(a, neg(b)), Or(b, neg(b))),
+        BOT, a, And(a, neg(b)), Or(a, TOP), Implies(Or(a, b), neg(a)), rule,
+        Theory((a, neg(b)), sig), Program((rule,)),
+        here_a, InterpretationSet((here_a,)), EquivalenceResult(False, here_a),
+        CountermodelRule(here_a, rule), DnfClause(here_a, And(a, neg(neg(b)))),
+        TraceStep("neg", neg(a), Implies(a, BOT)), Token("atom", "a", 1, 2),
+        ProgramCount(2, 162),
     ]
+
+
+#: The fields of each value class, in order, and the repr of its _node_kinds() instance.
+FIELDS_AND_REPRS = {
+    "Bottom": ((), "bot"),
+    "Atom": (("name",), "a"),
+    "And": (("left", "right"), "a & ~b"),
+    "Or": (("left", "right"), "a | top"),
+    "Implies": (("antecedent", "consequent"), "a | b -> ~a"),
+    "Rule": (("body", "head"), "a & ~b -> b | ~b"),
+    "Theory": (("formulas", "signature"), "Theory(formulas=(a, ~b), signature={a, b})"),
+    "Program": (("rules", "signature"), "a & ~b -> b | ~b"),
+    "HtInterpretation": (("here", "there", "over"), "(a | a b)"),
+    "InterpretationSet": (
+        ("members", "signature"),
+        "InterpretationSet(members=((a | a b),), signature={a, b})",
+    ),
+    "EquivalenceResult": (
+        ("equivalent", "witness"), "EquivalenceResult(equivalent=False, witness=(a | a b))",
+    ),
+    "CountermodelRule": (
+        ("source", "rule"), "CountermodelRule(source=(a | a b), rule=a & ~b -> b | ~b)",
+    ),
+    "DnfClause": (("source", "clause"), "DnfClause(source=(a | a b), clause=a & ~~b)"),
+    "TraceStep": (
+        ("rule_name", "before", "after"), "TraceStep(rule_name='neg', before=~a, after=~a)",
+    ),
+    "Token": (
+        ("kind", "text", "line", "column"),
+        "Token(kind='atom', text='a', line=1, column=2)",
+    ),
+    "ProgramCount": (("n", "value"), "ProgramCount(n=2, value=162)"),
+}
 
 
 class TestNodeValues:
@@ -292,18 +340,48 @@ class TestNodeValues:
 
     @pytest.mark.parametrize("node", _node_kinds(), ids=lambda n: type(n).__name__)
     def test_assignment_raises(self, node):
-        for name in [f.name for f in dataclasses.fields(node)] + ["anything"]:
+        for name in list(node.__match_args__) + ["anything"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, BOT)
+
+    @pytest.mark.parametrize("node", _node_kinds(), ids=lambda n: type(n).__name__)
+    def test_deletion_raises(self, node):
+        for name in list(node.__match_args__) + ["anything"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
 
     @pytest.mark.parametrize("node", _node_kinds(), ids=lambda n: type(n).__name__)
     def test_slotted(self, node):
         assert not hasattr(node, "__dict__")
 
+    @pytest.mark.parametrize("node", _node_kinds(), ids=lambda n: type(n).__name__)
+    def test_fields_and_repr(self, node):
+        fields, text = FIELDS_AND_REPRS[type(node).__name__]
+        assert type(node).__match_args__ == fields
+        assert repr(node) == text
+
+    @pytest.mark.parametrize("node", _node_kinds(), ids=lambda n: type(n).__name__)
+    def test_keyword_construction(self, node):
+        keywords = {name: getattr(node, name) for name in node.__match_args__}
+        assert type(node)(**keywords) == node
+
     def test_independent_builds_are_equal(self):
         for first, second in zip(_node_kinds(), _node_kinds()):
             assert first is not second or first is BOT
             assert first == second and hash(first) == hash(second)
+
+    def test_equal_only_to_the_same_class_and_fields(self):
+        a, b = Atom("a"), Atom("b")
+        assert And(a, b) != Or(a, b) and And(a, b) != And(b, a)
+        assert Rule(a, b) != Implies(a, b) and Atom("a") != "a"
+        assert ProgramCount(2, 162) != ProgramCount(2, 163)
+        assert EquivalenceResult(True) == EquivalenceResult(equivalent=True, witness=None)
+
+    def test_malformed_trees_repr_in_constructor_form(self):
+        assert repr(Implies(BOT, None)) == "Implies(antecedent=bot, consequent=None)"
+        assert repr(And(Atom("a"), Or(None, BOT))) == (
+            "And(left=a, right=Or(left=None, right=bot))"
+        )
 
     def test_atom_name_still_checked(self):
         with pytest.raises(ValueError, match="invalid atom name"):
