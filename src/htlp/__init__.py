@@ -42,15 +42,12 @@ from .semantics import (
     EquivalenceResult,
     HtInterpretation,
     InterpretationSet,
-    SignatureMismatchError,
     equilibrium_models,
     format_atom_set,
     ht_countermodels,
     ht_equivalent,
     ht_models,
     ht_valid,
-    sat_classical,
-    sat_ht,
 )
 from .countermodels import (
     CountermodelRule,

@@ -296,9 +296,6 @@ class Theory(Value):
         merged = list(dict.fromkeys(self.formulas + other.formulas))
         return Theory(tuple(merged), self.signature | other.signature)
 
-    def with_signature(self, signature: Signature) -> "Theory":
-        return Theory(self.formulas, signature)
-
 
 # --- syntactic classes -------------------------------------------------
 
@@ -464,28 +461,12 @@ def _chain(f: And | Or) -> tuple[str, list[Formula]]:
     return (" & " if kind is And else " | "), [f] + operands[::-1]
 
 
-def _raw(f: Formula) -> str:
-    kind = type(f)
-    if kind is Atom:
-        return f.name
-    if kind is Implies:
-        return f"({_raw(f.antecedent)} -> {_raw(f.consequent)})"
-    if kind is And or kind is Or:
-        symbol, (first, *rest) = _chain(f)
-        tail = "".join(f"{symbol}{_raw(g)})" for g in rest)
-        return "(" * len(rest) + _raw(first) + tail
-    if kind is Bottom:
-        return "bot"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# Binding strengths used by the sugared printer; parenthesize a subterm
+# Binding strengths used by the printer; parenthesize a subterm
 # whenever its own strength is below what the context requires.
 _PREC_IMPLIES = 1
 _PREC_OR = 2
 _PREC_AND = 3
 _PREC_NEG = 4
-_PREC_ATOM = 5
 
 
 def _sugared(f: Formula, context: int) -> str:
@@ -516,18 +497,10 @@ def _sugared(f: Formula, context: int) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def to_text(f: Formula, style: str = "sugared") -> str:
-    """Render f in the text grammar.
-
-    The raw style emits the five primitives fully parenthesized; the
-    sugared style folds ~ and top back and drops redundant parentheses.
-    Both round-trip through the parser.
-    """
-    if style == "raw":
-        return _raw(f)
-    if style == "sugared":
-        return _sugared(f, _PREC_IMPLIES)
-    raise ValueError(f"unknown style: {style!r}")
+def to_text(f: Formula) -> str:
+    """Render f in the text grammar, folding ~ and top back and dropping
+    redundant parentheses; the text round-trips through the parser."""
+    return _sugared(f, _PREC_IMPLIES)
 
 
 def rule_to_text(r: Rule) -> str:

@@ -12,8 +12,7 @@ recursion, into Python-int truth tables over the interpretations, "here"
 (the formula holds) and "there" (it holds classically at Y).  & and | act
 on both; F -> G gives there = ~F.there | G.there and here = there &
 (~F.here | G.here), the truth-table form of the here/there-copy reduction
-of HT to classical logic (Pearce, Tompits & Woltran, TPLP 2009).  A single
-interpretation gets one-position tables.
+of HT to classical logic (Pearce, Tompits & Woltran, TPLP 2009).
 
 Layout: digit i (base 3) of a position is 0, 1 or 2 when atom i is
 absent, only "there", or "here"; the n-atom tables are built by tripling
@@ -32,7 +31,7 @@ subset tests and allocate nothing.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .formula import (
     And,
@@ -59,10 +58,6 @@ class CapExceededError(Exception):
         super().__init__(
             f"enumeration over {needed} atoms exceeds the cap of {cap}"
         )
-
-
-class SignatureMismatchError(Exception):
-    """Raised when a formula mentions atoms outside an interpretation's signature."""
 
 
 def format_atom_set(atoms: Iterable[str]) -> str:
@@ -115,8 +110,9 @@ _set_over = HtInterpretation.over.__set__
 _Tables = tuple[int, int]
 
 
-def _tables(f: Formula, atom: Callable[[str], _Tables], full: int) -> _Tables:
-    """The (here, there) tables of f from its atoms' tables; full has every position."""
+def _tables(f: Formula, space: _Space) -> _Tables:
+    """The (here, there) tables of f over the space's interpretations."""
+    atom, full = space.atom, space.full
     values: list[_Tables] = []
     todo: list = [f]
     while todo:
@@ -172,7 +168,7 @@ class _Space:
     def theory(self, t: Theory) -> int:
         table = self.full
         for f in t.formulas:
-            table &= _tables(f, self.atom, self.full)[0]
+            table &= _tables(f, self)[0]
         return table
 
     def project(self, table: int) -> int:
@@ -270,32 +266,8 @@ class InterpretationSet(Value):
         gap = next(space.members(missing, broken & -broken))
         return HtInterpretation(gap.there, gap.there, self.signature), gap
 
-    def is_total_closed(self) -> bool:
-        return self.total_closure_violation() is None
-
     def display_lines(self) -> list[str]:
         return [m.display() for m in self.members]
-
-
-# --- satisfaction ------------------------------------------------------
-
-def sat_classical(atoms_true: Iterable[str], f: Formula) -> bool:
-    """Classical truth of f in the model given by a set of atoms."""
-    true_set = atoms_true if isinstance(atoms_true, (set, frozenset)) else set(atoms_true)
-    return bool(_tables(f, lambda name: (name in true_set,) * 2, 1)[0])
-
-
-def sat_ht(interpretation: HtInterpretation, f: Formula) -> bool:
-    """Here-and-there satisfaction of f at (here, there)."""
-    here, there, over = interpretation.here, interpretation.there, interpretation.over
-    point = {name: (name in here, name in there) for name in over}
-    try:
-        return bool(_tables(f, point.__getitem__, 1)[0])
-    except KeyError:
-        extra = atoms_of(f).names - over.names
-        raise SignatureMismatchError(
-            f"formula mentions atoms outside the signature: {sorted(extra)}"
-        ) from None
 
 
 # --- model sets --------------------------------------------------------
@@ -331,7 +303,7 @@ def ht_valid(f: Formula, cap: int = DEFAULT_CAP) -> bool:
     the occurring atoms is enough.
     """
     space = _Space(atoms_of(f), cap)
-    return _tables(f, space.atom, space.full)[0] == space.full
+    return _tables(f, space)[0] == space.full
 
 
 class EquivalenceResult(Value):

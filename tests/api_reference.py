@@ -59,6 +59,6 @@ def strong_equivalence_probe(
     ht_equivalent, not a replacement for it.
     """
     union_sig = t1.signature | t2.signature | context.signature
-    left = t1.with_signature(union_sig).union(context)
-    right = t2.with_signature(union_sig).union(context)
+    left = Theory(t1.formulas, union_sig).union(context)
+    right = Theory(t2.formulas, union_sig).union(context)
     return equilibrium_models(left, cap) == equilibrium_models(right, cap)

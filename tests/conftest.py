@@ -42,7 +42,7 @@ def single(f: Formula, *extra_atoms: str) -> Theory:
     if extra_atoms:
         from htlp import Signature
 
-        t = t.with_signature(t.signature | Signature(extra_atoms))
+        t = Theory(t.formulas, t.signature | Signature(extra_atoms))
     return t
 
 

@@ -68,6 +68,6 @@ def count_subset_filter(n: int) -> ProgramCount:
     count = 0
     for size in range(len(interps) + 1):
         for subset in combinations(interps, size):
-            if InterpretationSet(subset, sig).is_total_closed():
+            if InterpretationSet(subset, sig).total_closure_violation() is None:
                 count += 1
     return ProgramCount(n, count)

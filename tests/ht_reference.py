@@ -93,8 +93,8 @@ def valid(f: Formula, sig: Signature) -> bool:
 
 def equivalence_witness(t1: Theory, t2: Theory) -> Optional[Pair]:
     """The first interpretation satisfying exactly one side, or None."""
-    left = t1.with_signature(t1.signature | t2.signature)
-    right = t2.with_signature(left.signature)
+    left = Theory(t1.formulas, t1.signature | t2.signature)
+    right = Theory(t2.formulas, left.signature)
     for x, y in interpretations(left.signature):
         if sat_theory(x, y, left) != sat_theory(x, y, right):
             return x, y

@@ -22,16 +22,18 @@ from htlp import (
     equilibrium_models,
     estimated_rule_count,
     formula_to_program_syn,
+    ht_countermodels,
     ht_equivalent,
+    ht_valid,
     iff,
     neg,
     parse,
     rule_to_text,
-    sat_ht,
     theory_to_program_cm,
     theory_to_program_syn,
 )
 from htlp.cli import main
+import ht_reference as ref
 from api_reference import enumerate_interpretations, lemma1_rewrite
 from conftest import random_formula, single
 from count_reference import count_bruteforce, count_subset_filter
@@ -195,14 +197,16 @@ def test_criterion_6_lemma_suite(corpus_depth2):
         body = build_rule(m).rule.body
         for other in space3:
             expected = m.here <= other.here and other.there <= m.there
-            assert sat_ht(other, body) == expected
+            assert ref.sat_ht(other.here, other.there, body) == expected
 
     # Countermodels of the principal rule: the interpretation itself, or
     # its whole column when total.
     for m in space3:
         rule_formula = build_rule(m).rule.to_formula()
         counter = {
-            (o.here, o.there) for o in space3 if not sat_ht(o, rule_formula)
+            (o.here, o.there)
+            for o in space3
+            if not ref.sat_ht(o.here, o.there, rule_formula)
         }
         if m.total():
             assert counter == {
@@ -214,20 +218,20 @@ def test_criterion_6_lemma_suite(corpus_depth2):
     # Characteristic clauses: satisfied by the source and its total twin only.
     for m in space3:
         clause = build_clause(m).clause
-        models = {(o.here, o.there) for o in space3 if sat_ht(o, clause)}
+        models = {
+            (o.here, o.there) for o in space3 if ref.sat_ht(o.here, o.there, clause)
+        }
         assert models == {(m.here, m.there), (m.there, m.there)}
 
     # Implication unfolding: exhaustive on the depth-2 corpus over two
     # atoms, plus every literal/constant triple over three atoms.
-    space2 = list(enumerate_interpretations(AB))
     for f in corpus_depth2:
         for g in corpus_depth2:
             for k in corpus_depth2:
                 lhs = Implies(Implies(f, g), k)
                 first, second = lemma1_rewrite(f, g, k)
                 rhs = And(first, second)
-                for m in space2:
-                    assert sat_ht(m, lhs) == sat_ht(m, rhs)
+                assert ht_equivalent(Theory((lhs,), AB), Theory((rhs,), AB)).equivalent
 
     units3 = (
         [Atom(a) for a in PQR]
@@ -240,8 +244,7 @@ def test_criterion_6_lemma_suite(corpus_depth2):
                 lhs = Implies(Implies(f, g), k)
                 first, second = lemma1_rewrite(f, g, k)
                 rhs = And(first, second)
-                for m in space3:
-                    assert sat_ht(m, lhs) == sat_ht(m, rhs)
+                assert ht_equivalent(Theory((lhs,), PQR), Theory((rhs,), PQR)).equivalent
 
     _stamp(6, "lemma and proposition suites exhaustive", start, 30.0)
 
@@ -286,20 +289,15 @@ def test_criterion_8_counting_theorem():
 
 def test_criterion_9_tautology_suite(corpus_depth2):
     start = time.perf_counter()
-    space = list(enumerate_interpretations(AB))
-
-    def valid(f):
-        return all(sat_ht(m, f) for m in space)
-
     for f in corpus_depth2:
-        assert valid(Or(neg(f), neg(neg(f))))  # weak excluded middle
+        assert ht_valid(Or(neg(f), neg(neg(f))))  # weak excluded middle
         for g in corpus_depth2:
-            assert valid(Or(Or(f, Implies(f, g)), neg(g)))  # axiom schema
-            assert valid(iff(neg(And(f, g)), Or(neg(f), neg(g))))  # De Morgan
+            assert ht_valid(Or(Or(f, Implies(f, g)), neg(g)))  # axiom schema
+            assert ht_valid(iff(neg(And(f, g)), Or(neg(f), neg(g))))  # De Morgan
             encoded = And(Implies(Implies(f, g), g), Implies(Implies(g, f), f))
-            assert valid(iff(Or(f, g), encoded))  # disjunction encoding
+            assert ht_valid(iff(Or(f, g), encoded))  # disjunction encoding
 
     a = Atom("a")
-    witness = [m for m in space if not sat_ht(m, Or(a, neg(a)))]
+    witness = ht_countermodels(Theory((Or(a, neg(a)),), AB))
     assert witness, "excluded middle must fail somewhere"
     _stamp(9, "tautology suite holds, excluded middle fails", start, 10.0)

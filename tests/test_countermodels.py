@@ -20,9 +20,9 @@ from htlp import (
     parse_theory,
     program_from_set,
     rule_to_text,
-    sat_ht,
     theory_to_program_cm,
 )
+import ht_reference as ref
 from api_reference import enumerate_interpretations
 from conftest import single
 
@@ -62,7 +62,7 @@ class TestBodyCharacterization:
                     and other.here <= other.there
                     and other.there <= m.there
                 )
-                assert sat_ht(other, body) == expected
+                assert ref.sat_ht(other.here, other.there, body) == expected
 
 
 class TestCountermodelCharacterization:
@@ -73,7 +73,7 @@ class TestCountermodelCharacterization:
             countermodels = {
                 (other.here, other.there)
                 for other in space
-                if not sat_ht(other, rule_formula)
+                if not ref.sat_ht(other.here, other.there, rule_formula)
             }
             if m.total():
                 expected = {
@@ -130,7 +130,7 @@ class TestProgramFromSet:
                 if m.total():
                     chosen.update(o for o in space if o.there == m.there)
             s = InterpretationSet(tuple(chosen), PQR)
-            assert s.is_total_closed()
+            assert s.total_closure_violation() is None
             program = program_from_set(s)
             assert ht_countermodels(program.to_theory()) == s
 

@@ -15,11 +15,11 @@ from htlp import (
     is_literal,
     neg,
     parse,
-    sat_ht,
     theory_to_dnf,
     theory_to_dnf_clauses,
     to_text,
 )
+import ht_reference as ref
 from api_reference import enumerate_interpretations
 from conftest import single
 
@@ -93,7 +93,9 @@ class TestClauseModels:
         for m in space:
             clause = build_clause(m).clause
             models = {
-                (o.here, o.there) for o in space if sat_ht(o, clause)
+                (o.here, o.there)
+                for o in space
+                if ref.sat_ht(o.here, o.there, clause)
             }
             assert models == {(m.here, m.there), (m.there, m.there)}
 

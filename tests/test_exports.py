@@ -1,6 +1,7 @@
 """htlp's export list: computed once, complete, and still serving perfbench."""
 
 import importlib.util
+import inspect
 import types
 from pathlib import Path
 
@@ -12,6 +13,9 @@ REMOVED = {
     "implication_of_programs",
     "strong_equivalence_probe",
     "enumerate_interpretations",
+    "sat_ht",
+    "sat_classical",
+    "SignatureMismatchError",
 }
 
 
@@ -46,6 +50,15 @@ def test_every_export_comes_from_a_submodule():
 def test_test_only_and_dead_names_are_gone():
     assert REMOVED.isdisjoint(htlp.__all__)
     assert not any(hasattr(htlp, name) for name in REMOVED)
+
+
+def test_test_only_methods_are_gone():
+    assert not hasattr(htlp.Theory, "with_signature")
+    assert not hasattr(htlp.InterpretationSet, "is_total_closed")
+
+
+def test_one_printer_style():
+    assert list(inspect.signature(htlp.to_text).parameters) == ["f"]
 
 
 def test_names_the_benchmark_calls_are_exported():

@@ -154,7 +154,7 @@ class TestImplicationOfPrograms:
             )
             t_expected = single(expected, *atoms)
             assert ht_equivalent(
-                got.to_theory().with_signature(t_expected.signature), t_expected
+                Theory(got.to_theory().formulas, t_expected.signature), t_expected
             ).equivalent
 
 
@@ -192,7 +192,7 @@ class TestFormulaToProgram:
             for flag in (False, True):
                 program = formula_to_program_syn(f, simplify=flag)
                 assert ht_equivalent(
-                    t, program.to_theory().with_signature(t.signature)
+                    t, Theory(program.to_theory().formulas, t.signature)
                 ).equivalent
 
     def test_cross_method_agreement(self, corpus_depth2):

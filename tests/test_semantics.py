@@ -17,7 +17,6 @@ from htlp import (
     InterpretationSet,
     Or,
     Signature,
-    SignatureMismatchError,
     Theory,
     atoms_of,
     equilibrium_models,
@@ -29,9 +28,8 @@ from htlp import (
     neg,
     parse,
     parse_theory,
-    sat_classical,
-    sat_ht,
 )
+import ht_reference as ref
 from api_reference import enumerate_interpretations, strong_equivalence_probe
 from conftest import random_formula, single
 
@@ -40,6 +38,11 @@ PQR = Signature(["p", "q", "r"])
 
 def interp(here, there, sig=PQR):
     return HtInterpretation(frozenset(here), frozenset(there), sig)
+
+
+def holds(m, f):
+    """m satisfies f: m is an HT model of f over m's signature."""
+    return m in ht_models(Theory((f,), m.over))
 
 
 class TestInterpretations:
@@ -99,42 +102,39 @@ class TestInterpretations:
 
 class TestSatisfaction:
     def test_classical_examples(self):
-        assert sat_classical({"p", "q"}, Implies(Atom("q"), Atom("p")))
-        assert not sat_classical(set(), BOT)
-        assert sat_classical({"q"}, parse("q & ~p & ~r"))
+        # at a total interpretation (Y, Y), the classical truth at Y
+        assert holds(interp({"p", "q"}, {"p", "q"}), Implies(Atom("q"), Atom("p")))
+        assert not holds(interp(set(), set()), BOT)
+        assert holds(interp({"q"}, {"q"}), parse("q & ~p & ~r"))
 
     def test_ht_examples(self):
-        assert sat_ht(interp({"q"}, {"p", "q"}), parse("q & ~r"))
-        assert not sat_ht(interp(set(), {"q"}), parse("(q -> p) | r"))
+        assert holds(interp({"q"}, {"p", "q"}), parse("q & ~r"))
+        assert not holds(interp(set(), {"q"}), parse("(q -> p) | r"))
 
     def test_total_collapse(self, corpus_depth2):
         sig = Signature(["a", "b"])
         subsets = [set(), {"a"}, {"b"}, {"a", "b"}]
-        for y in subsets:
-            total = HtInterpretation(frozenset(y), frozenset(y), sig)
-            for f in corpus_depth2:
-                assert sat_ht(total, f) == sat_classical(y, f)
-
-    def test_signature_mismatch(self):
-        small = HtInterpretation(frozenset(), frozenset(), Signature(["a"]))
-        with pytest.raises(SignatureMismatchError):
-            sat_ht(small, Atom("b"))
+        for f in corpus_depth2:
+            models = ht_models(Theory((f,), sig))
+            for y in subsets:
+                total = HtInterpretation(frozenset(y), frozenset(y), sig)
+                assert (total in models) == ref.sat_classical(y, f)
 
     def test_persistence_exhaustive(self, corpus_depth3):
         sig = Signature(["a", "b"])
-        space = list(enumerate_interpretations(sig))
         for f in corpus_depth3:
-            for m in space:
-                if sat_ht(m, f):
-                    assert sat_classical(m.there, f)
+            models = ht_models(Theory((f,), sig))
+            for m in models:
+                assert HtInterpretation(m.there, m.there, sig) in models
 
     def test_negation_collapse_exhaustive(self, corpus_depth3):
         sig = Signature(["a", "b"])
         space = list(enumerate_interpretations(sig))
         for f in corpus_depth3:
-            negated = neg(f)
+            models = ht_models(Theory((neg(f),), sig))
             for m in space:
-                assert sat_ht(m, negated) == sat_classical(m.there, negated)
+                there = HtInterpretation(m.there, m.there, sig)
+                assert (m in models) == (there in models)
 
     def test_persistence_random_depth4(self):
         rng = random.Random(20211)
@@ -142,10 +142,13 @@ class TestSatisfaction:
         space = list(enumerate_interpretations(sig))
         for _ in range(300):
             f = random_formula(rng, ("a", "b"), 4)
+            models = ht_models(Theory((f,), sig))
+            negated = ht_models(Theory((neg(f),), sig))
             for m in space:
-                if sat_ht(m, f):
-                    assert sat_classical(m.there, f)
-                assert sat_ht(m, neg(f)) == sat_classical(m.there, neg(f))
+                there = HtInterpretation(m.there, m.there, sig)
+                if m in models:
+                    assert there in models
+                assert (m in negated) == (there in negated)
 
 
 class TestEnumeration:
@@ -205,7 +208,7 @@ class TestModelSets:
 
     def test_countermodels_total_closed(self, corpus_depth2):
         for f in corpus_depth2:
-            assert ht_countermodels(single(f)).is_total_closed()
+            assert ht_countermodels(single(f)).total_closure_violation() is None
 
     def test_interpretation_set_canonicalizes(self):
         sig = Signature(["a"])
@@ -255,7 +258,7 @@ class TestTautologies:
         a = Atom("a")
         assert not ht_valid(Or(a, neg(a)))
         witness = HtInterpretation(set(), {"a"}, Signature(["a"]))
-        assert not sat_ht(witness, Or(a, neg(a)))
+        assert not holds(witness, Or(a, neg(a)))
 
 
 class TestEquivalence:
@@ -301,7 +304,7 @@ class TestEquilibrium:
         for f in corpus_depth2:
             t = single(f)
             for y in equilibrium_models(t):
-                assert sat_classical(y, f)
+                assert ref.sat_classical(y, f)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -327,8 +330,8 @@ class TestStrongEquivalenceProbe:
         t2 = parse_theory("~q -> p\n~p -> q\n")
         union_sig = t1.signature | t2.signature
         expected = equilibrium_models(
-            t1.with_signature(union_sig)
-        ) == equilibrium_models(t2.with_signature(union_sig))
+            Theory(t1.formulas, union_sig)
+        ) == equilibrium_models(Theory(t2.formulas, union_sig))
         assert strong_equivalence_probe(t1, t2, Theory(())) == expected
 
 
