@@ -15,6 +15,7 @@ with it).
 from __future__ import annotations
 
 import argparse
+import gc
 import signal
 import sys
 from collections.abc import Callable
@@ -380,6 +381,9 @@ def run() -> None:
     # A reader that closes the pipe early ends htlp quietly, as it ends cat.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # Formula trees hold no cycles, so the cyclic collector finds nothing
+    # to free; left on, it rescans the growing output over and over.
+    gc.disable()
     sys.exit(main())
 
 

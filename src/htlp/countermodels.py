@@ -9,13 +9,21 @@ by exactly (X, Y) and (Y, Y), so the disjunction over the models of a
 theory, its model DNF, is equivalent to it.  Both maps are injective:
 the three groups can be read back from a rule's body and head, or from
 a clause, so distinct interpretations give distinct rules and clauses.
+
+The builders share every part that does not depend on the whole
+interpretation: the literal nodes of each atom, the implication d -> e
+of each pair of atoms, and, per tuple of undefined atoms, the rule head
+and the clause's tail.  Only each rule's body spine and each clause's
+& spine are new nodes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .formula import Atom, Formula, Implies, Program, Rule, Theory, Value, conj, disj, neg
+from .formula import (
+    TOP, And, Atom, Formula, Implies, Program, Rule, Theory, Value, disj, neg,
+)
 from .semantics import (
     DEFAULT_CAP,
     HtInterpretation,
@@ -70,13 +78,43 @@ def _implication(d: str, e: str) -> Formula:
     return Implies(_literals(d)[0], _literals(e)[0])
 
 
-def _split(interpretation: HtInterpretation) -> tuple[list, list, list]:
-    """The (a, ~a, ~~a) of the here-atoms, the atoms outside Y and the undefined ones."""
+@lru_cache(maxsize=4096)
+def _undefined_parts(undefined: tuple[str, ...]) -> tuple[Formula, tuple[Formula, ...]]:
+    """The rule head c | ~c | ... (bot when there are none) and the clause
+    tail: ~~c for every undefined atom c, then d -> e for every ordered pair."""
+    head = disj([literal for c in undefined for literal in _literals(c)[:2]])
+    tail = [_literals(c)[2] for c in undefined]
+    tail += [_implication(d, e) for d in undefined for e in undefined]
+    return head, tuple(tail)
+
+
+def _body(interpretation: HtInterpretation) -> tuple[Formula | None, tuple[str, ...]]:
+    """The body spine of (X, Y) and its undefined atoms, in one pass.
+
+    The spine is the left-associated conjunction of the here-atoms, then
+    of ~b for every atom outside Y, each group in name order; None when
+    both groups are empty.
+    """
     here, there = interpretation.here, interpretation.there
-    groups: tuple[list, list, list] = ([], [], [])
+    spine: Formula | None = None
+    absent: list[Formula] = []
+    undefined: list[str] = []
     for name in interpretation.over:  # in name order
-        groups[0 if name in here else 2 if name in there else 1].append(_literals(name))
-    return groups
+        if name in here:
+            a = _literals(name)[0]
+            spine = a if spine is None else And(spine, a)
+        elif name in there:
+            undefined.append(name)
+        else:
+            absent.append(_literals(name)[1])
+    for not_b in absent:
+        spine = not_b if spine is None else And(spine, not_b)
+    return spine, tuple(undefined)
+
+
+def _rule(interpretation: HtInterpretation) -> Rule:
+    body, undefined = _body(interpretation)
+    return Rule(TOP if body is None else body, _undefined_parts(undefined)[0])
 
 
 def build_rule(interpretation: HtInterpretation) -> CountermodelRule:
@@ -85,12 +123,9 @@ def build_rule(interpretation: HtInterpretation) -> CountermodelRule:
     Body: the atoms of the here-set plus the negations of the atoms
     outside the there-set (top when both are empty).  Head: a | ~a for
     every undefined atom (bot when the interpretation is total, i.e. a
-    constraint).
+    constraint); rules with the same undefined atoms share one head.
     """
-    here, absent, undefined = _split(interpretation)
-    body = conj([a for a, _, _ in here] + [not_b for _, not_b, _ in absent])
-    head = disj([literal for c, not_c, _ in undefined for literal in (c, not_c)])
-    return CountermodelRule(interpretation, Rule(body, head))
+    return CountermodelRule(interpretation, _rule(interpretation))
 
 
 def build_clause(interpretation: HtInterpretation) -> DnfClause:
@@ -103,12 +138,10 @@ def build_clause(interpretation: HtInterpretation) -> DnfClause:
     empty the clause is top.  Only the & spine is new; the literals and
     implications are shared nodes.
     """
-    here, absent, undefined = _split(interpretation)
-    parts = [a for a, _, _ in here] + [not_b for _, not_b, _ in absent]
-    parts += [not_not_c for _, _, not_not_c in undefined]
-    names = [c.name for c, _, _ in undefined]
-    parts += [_implication(d, e) for d in names for e in names]
-    return DnfClause(interpretation, conj(parts))
+    spine, undefined = _body(interpretation)
+    for part in _undefined_parts(undefined)[1]:
+        spine = part if spine is None else And(spine, part)
+    return DnfClause(interpretation, TOP if spine is None else spine)
 
 
 def program_from_set(s: InterpretationSet) -> Program:
@@ -120,7 +153,7 @@ def program_from_set(s: InterpretationSet) -> Program:
     violation = s.total_closure_violation()
     if violation is not None:
         raise NotTotalClosedError(*violation)
-    return Program(tuple(build_rule(m).rule for m in s), s.signature)
+    return Program(tuple(_rule(m) for m in s), s.signature)
 
 
 def theory_to_program_cm(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -246,6 +247,10 @@ class Signature:
 
 def atoms_of(*formulas: Formula) -> Signature:
     """The atoms occurring in the formulas, in canonical order."""
+    return Signature(_atom_names(formulas))
+
+
+def _atom_names(formulas: Iterable[Formula]) -> set[str]:
     names: set[str] = set()
     stack = list(formulas)
     while stack:
@@ -262,14 +267,14 @@ def atoms_of(*formulas: Formula) -> Signature:
             else:
                 stack.append(node.antecedent)
             stack.append(node.consequent)
-    return Signature(names)
+    return names
 
 
-def _covering(signature: Signature | None, formulas: Iterable[Formula]) -> Signature:
-    """signature, by default the formulas' atoms, which it must cover."""
-    occurring = atoms_of(*formulas)
-    signature = occurring if signature is None else signature
-    extra = occurring.names - signature.names
+def _covering(signature: Signature | None, occurring: set[str]) -> Signature:
+    """signature, by default the occurring atoms, which it must cover."""
+    if signature is None:
+        return Signature(occurring)
+    extra = occurring - signature.names
     if extra:
         raise ValueError(f"signature is missing occurring atoms: {sorted(extra)}")
     return signature
@@ -289,7 +294,7 @@ class Theory(Value):
     ) -> None:
         formulas = tuple(formulas)
         object.__setattr__(self, "formulas", formulas)
-        object.__setattr__(self, "signature", _covering(signature, formulas))
+        object.__setattr__(self, "signature", _covering(signature, _atom_names(formulas)))
 
     def union(self, other: "Theory") -> "Theory":
         """Set union of the two theories over the union signature."""
@@ -299,8 +304,8 @@ class Theory(Value):
 
 # --- syntactic classes -------------------------------------------------
 
-def is_nested_expression(f: Formula) -> bool:
-    """True iff every implication inside f is a negation (or top).
+def _nested_atoms(f: Formula, names: set[str]) -> bool:
+    """True iff f is a nested expression; adds f's atoms to names on the way.
 
     Walks the subtrees left to right and stops at the first implication
     that is not a negation, or raises TypeError at the first non-formula.
@@ -312,13 +317,24 @@ def is_nested_expression(f: Formula) -> bool:
         if kind is And or kind is Or:
             stack.append(node.right)
             stack.append(node.left)
+        elif kind is Atom:
+            names.add(node.name)
         elif kind is Implies:
             if type(node.consequent) is not Bottom:
                 return False
-            stack.append(node.antecedent)
-        elif kind is not Atom and kind is not Bottom:
+            antecedent = node.antecedent
+            if type(antecedent) is Atom:  # a literal ~a
+                names.add(antecedent.name)
+            else:
+                stack.append(antecedent)
+        elif kind is not Bottom:
             raise TypeError(f"not a formula: {node!r}")
     return True
+
+
+def is_nested_expression(f: Formula) -> bool:
+    """True iff every implication inside f is a negation (or top)."""
+    return _nested_atoms(f, set())
 
 
 def is_literal(f: Formula) -> bool:
@@ -383,18 +399,32 @@ def is_nonnested_rule(f: Formula) -> bool:
     return body_ok and head_ok
 
 
-class Rule(Value):
-    """body -> head with both sides nested expressions."""
+@lru_cache(maxsize=1024)
+def _interned(names: frozenset[str]) -> frozenset[str]:
+    """One shared frozenset per set of atom names: rules repeat a few sets."""
+    return names
 
-    __slots__ = __match_args__ = ("body", "head")
+
+class Rule(Value):
+    """body -> head with both sides nested expressions.
+
+    The walk that checks the sides also collects their atoms, kept in
+    _atoms for Program's signature check; _atoms is not a field, so
+    equality, hashing, repr, copies and pickles ignore it.
+    """
+
+    __slots__ = ("body", "head", "_atoms")
+    __match_args__ = ("body", "head")
 
     def __init__(self, body: Formula, head: Formula) -> None:
-        if not is_nested_expression(body):
+        names: set[str] = set()
+        if not _nested_atoms(body, names):
             raise ValueError(f"rule body is not a nested expression: {body!r}")
-        if not is_nested_expression(head):
+        if not _nested_atoms(head, names):
             raise ValueError(f"rule head is not a nested expression: {head!r}")
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "head", head)
+        _set_body(self, body)
+        _set_head(self, head)
+        _set_atoms(self, _interned(frozenset(names)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -421,6 +451,14 @@ class Rule(Value):
         return rule_to_text(self)
 
 
+_set_body, _set_head, _set_atoms = Rule.body.__set__, Rule.head.__set__, Rule._atoms.__set__
+
+
+def _rule_atoms(rules: tuple[Rule, ...]) -> set[str]:
+    """The atoms of the rules, from the sets their checks collected."""
+    return set().union(*{r._atoms for r in rules})
+
+
 class Program(Value):
     """A finite list of rules over an explicit signature."""
 
@@ -430,15 +468,23 @@ class Program(Value):
         self, rules: Iterable[Rule], signature: Signature | None = None
     ) -> None:
         rules = tuple(rules)
-        sides = (side for r in rules for side in (r.body, r.head))
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "signature", _covering(signature, sides))
+        object.__setattr__(self, "signature", _covering(signature, _rule_atoms(rules)))
 
     def is_nonnested(self) -> bool:
         return all(r.is_nonnested() for r in self.rules)
 
     def to_theory(self) -> Theory:
-        return Theory(tuple(r.to_formula() for r in self.rules), self.signature)
+        """The rules as formulas, over the program's signature.
+
+        A rule's formula has the rule's atoms, so the signature is checked
+        against the sets the rules' checks collected, not by a new walk.
+        """
+        theory = object.__new__(Theory)
+        object.__setattr__(theory, "formulas", tuple(r.to_formula() for r in self.rules))
+        signature = _covering(self.signature, _rule_atoms(self.rules))
+        object.__setattr__(theory, "signature", signature)
+        return theory
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -511,4 +557,16 @@ def rule_to_text(r: Rule) -> str:
 
 
 def program_to_text(p: Program) -> str:
-    return "\n".join(rule_to_text(r) for r in p.rules)
+    """One rule per line; a side that several rules share is printed once."""
+    texts: dict[int, str] = {}  # by id: p holds every side while this runs
+
+    def side(f: Formula) -> str:
+        text = texts.get(id(f))
+        if text is None:
+            text = texts[id(f)] = to_text(f)
+        return text
+
+    return "\n".join(
+        side(r.head) if _is_top(r.body) else f"{side(r.body)} -> {side(r.head)}"
+        for r in p.rules
+    )

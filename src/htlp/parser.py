@@ -225,5 +225,7 @@ def parse_theory(text: str, signature: Signature | None = None) -> Theory:
                 extra.add(name)
             continue
         formulas.append(parse(line, start_line=lineno))
-    occurring = Theory(tuple(formulas)).signature
-    return Theory(tuple(formulas), occurring | Signature(extra))
+    theory = Theory(tuple(formulas))
+    if extra <= theory.signature.names:  # nothing to add: keep the one walk
+        return theory
+    return Theory(theory.formulas, theory.signature | Signature(extra))

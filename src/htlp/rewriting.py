@@ -365,29 +365,31 @@ def estimated_rule_count(f: Formula) -> int:
     disjunctions and never computes a number beyond the ceiling squared,
     so it is cheap even where the construction is infeasible.
     """
+    if isinstance(f, (Atom, Bottom)):
+        return 1
+    if isinstance(f, Implies):
+        return _saturated_implication(
+            estimated_rule_count(f.antecedent), estimated_rule_count(f.consequent)
+        )
+    if isinstance(f, And):
+        return min(
+            RULE_COUNT_CEILING, estimated_rule_count(f.left) + estimated_rule_count(f.right)
+        )
+    if isinstance(f, Or):
+        left, right = estimated_rule_count(f.left), estimated_rule_count(f.right)
+        return min(
+            RULE_COUNT_CEILING,
+            _saturated_implication(_saturated_implication(left, right), right)
+            + _saturated_implication(_saturated_implication(right, left), left),
+        )
+    raise TypeError(f"not a formula: {f!r}")
 
-    def implication(m: int, n: int) -> int:
-        if m >= RULE_COUNT_CEILING.bit_length():
-            return RULE_COUNT_CEILING
-        return min(RULE_COUNT_CEILING, (1 << m) * n)
 
-    def count(g: Formula) -> int:
-        if isinstance(g, (Atom, Bottom)):
-            return 1
-        if isinstance(g, Implies):
-            return implication(count(g.antecedent), count(g.consequent))
-        if isinstance(g, And):
-            return min(RULE_COUNT_CEILING, count(g.left) + count(g.right))
-        if isinstance(g, Or):
-            left, right = count(g.left), count(g.right)
-            return min(
-                RULE_COUNT_CEILING,
-                implication(implication(left, right), right)
-                + implication(implication(right, left), left),
-            )
-        raise TypeError(f"not a formula: {g!r}")
-
-    return count(f)
+def _saturated_implication(m: int, n: int) -> int:
+    """2^m * n, at most RULE_COUNT_CEILING."""
+    if m >= RULE_COUNT_CEILING.bit_length():
+        return RULE_COUNT_CEILING
+    return min(RULE_COUNT_CEILING, (1 << m) * n)
 
 
 def _budget(formulas: Iterable[Formula], simplify: bool) -> _RuleBudget | None:

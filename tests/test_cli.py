@@ -493,6 +493,74 @@ class TestErrors:
         assert (tmp_path / "stderr").read_bytes() == b""
 
 
+class TestCollectorOff:
+    """The console entry point runs with the cyclic collector off; no cycles leak.
+
+    The one argument parser a run builds and drops is cyclic garbage of a
+    fixed size (about 400 argparse objects); the child measures it by
+    building one and subtracts it, so unreachable counts everything else.
+    """
+
+    PROBE = """
+import gc, sys
+import htlp.cli
+gc.collect()
+htlp.cli.build_arg_parser()
+parser = gc.collect()
+sys.argv[0] = "htlp"
+try:
+    htlp.cli.run()
+except SystemExit as stop:
+    code = stop.code
+enabled = gc.isenabled()
+sys.stdout.flush()
+left = gc.collect() - parser
+print(f"\\nprobe: exit={code} enabled={enabled} parser={parser} unreachable={left}",
+      file=sys.stderr)
+"""
+
+    def _probe(self, tmp_path, *argv):
+        example = write(tmp_path, "example.lp", FORMULA2)
+        partner = write(tmp_path, "partner.lp", GOLDEN_PROGRAM)
+        argv = [{"EXAMPLE": example, "PARTNER": partner}.get(a, a) for a in argv]
+        child = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], capture_output=True,
+            text=True, env=_child_env(), timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        return child.stdout, child.stderr.rsplit("\nprobe: ", 1)[1].split()
+
+    @pytest.mark.parametrize("argv", [
+        ("models", "EXAMPLE"),
+        ("countermodels", "EXAMPLE"),
+        ("equilibrium", "EXAMPLE"),
+        ("to-program", "--method", "syntactic", "--verify", "EXAMPLE"),
+        ("to-program", "--method", "syntactic", "--simplify", "--trace", "EXAMPLE"),
+        ("to-program", "--method", "countermodel", "--verify", "EXAMPLE"),
+        ("to-dnf", "--verify", "--annotate", "EXAMPLE"),
+        ("check-equiv", "EXAMPLE", "PARTNER"),
+        ("count", "8", "--verbose"),
+    ], ids=lambda argv: "-".join(a.strip("-").lower() for a in argv[:2]))
+    def test_no_cycles_left(self, tmp_path, argv):
+        out, probe = self._probe(tmp_path, *argv)
+        assert out
+        assert probe[:2] == ["exit=0", "enabled=False"]
+        assert probe[3] == "unreachable=0" and probe[2] != "parser=0"
+
+    def test_error_path_leaves_no_cycles(self, tmp_path):
+        bad = write(tmp_path, "bad.lp", "p &\n")
+        _, probe = self._probe(tmp_path, "to-dnf", bad)
+        assert probe[:2] == ["exit=2", "enabled=False"]
+        assert probe[3] == "unreachable=0" and probe[2] != "parser=0"
+
+    def test_main_leaves_the_collector_alone(self, capsys, formula2_file):
+        import gc
+
+        assert gc.isenabled()
+        assert run_cli(capsys, "models", formula2_file)[0] == 0
+        assert gc.isenabled()
+
+
 class TestStartup:
     def test_import_loads_no_heavy_modules(self):
         # Each command is a fresh process, so these would be paid on every run.

@@ -41,6 +41,8 @@ from htlp.parser import Token
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
+MISSING_P = r"^signature is missing occurring atoms: \['p'\]$"
+
 
 class TestParse:
     def test_single_implication(self):
@@ -223,6 +225,51 @@ class TestRuleAndProgram:
             Rule(Implies(q, p), p)
         with pytest.raises(ValueError):
             Rule(p, Implies(q, p))
+
+    def test_rule_side_errors_name_the_side(self):
+        body = r"^rule body is not a nested expression: q -> p$"
+        with pytest.raises(ValueError, match=body):
+            Rule(Implies(q, p), p)
+        head = r"^rule head is not a nested expression: ~q & \(q -> p\)$"
+        with pytest.raises(ValueError, match=head):
+            Rule(p, And(neg(q), Implies(q, p)))
+        with pytest.raises(TypeError, match="not a formula: None"):
+            Rule(And(p, None), q)
+
+    def test_rule_atoms_are_collected_and_interned(self):
+        rule = Rule(And(p, neg(q)), Or(r, neg(neg(p))))
+        assert rule._atoms == {"p", "q", "r"}
+        assert Rule(neg(r), Or(q, p))._atoms is rule._atoms
+        assert Rule(TOP, BOT)._atoms == frozenset()
+
+    def test_rule_copies_and_pickles_keep_the_atoms(self):
+        rule = Rule(And(p, neg(q)), Or(r, neg(r)))
+        pickled = pickle.loads(pickle.dumps(rule))
+        for twin in (copy.copy(rule), copy.deepcopy(rule), pickled):
+            assert twin == rule and twin._atoms == rule._atoms
+        assert Rule.__match_args__ == ("body", "head")
+        assert repr(rule) == "p & ~q -> r | ~r"
+        assert rule.__reduce__() == (Rule, (rule.body, rule.head))
+
+    def test_program_signature_must_cover_atoms(self):
+        with pytest.raises(ValueError, match=MISSING_P):
+            Program((Rule(TOP, p),), Signature(["q"]))
+        with pytest.raises(ValueError, match=MISSING_P):
+            Program((Rule(q, Or(p, neg(q))),), Signature(["q", "r"]))
+
+    def test_to_theory_checks_the_program_signature(self):
+        # Program's constructor refuses such a program, so build it past it.
+        narrow = object.__new__(Program)
+        object.__setattr__(narrow, "rules", (Rule(q, p),))
+        object.__setattr__(narrow, "signature", Signature(["q"]))
+        with pytest.raises(ValueError, match=MISSING_P):
+            narrow.to_theory()
+
+    def test_program_signature_is_the_atoms_of_the_sides(self):
+        rules = (Rule(TOP, p), Rule(And(q, neg(r)), BOT), Rule(neg(neg(q)), Or(p, neg(p))))
+        sides = [side for rule in rules for side in (rule.body, rule.head)]
+        assert Program(rules).signature == atoms_of(*sides)
+        assert Program(()).signature == Signature()
 
     def test_from_formula_splits_implication(self):
         rule = Rule.from_formula(parse("q & r -> p"))

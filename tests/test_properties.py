@@ -5,9 +5,11 @@ semantics must equal the one-interpretation-at-a-time reference in
 ht_reference.py, listings in the same order.
 """
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import countermodel_reference
 import formula_reference
 import ht_reference as ref
 import rewriting_reference
@@ -26,6 +28,8 @@ from htlp import (
     Signature,
     Theory,
     atoms_of,
+    build_clause,
+    build_rule,
     conj,
     equilibrium_models,
     estimated_rule_count,
@@ -38,6 +42,8 @@ from htlp import (
     neg,
     parse,
     program_from_set,
+    program_to_text,
+    rule_to_text,
     simplify,
     theory_to_dnf,
     theory_to_dnf_clauses,
@@ -223,6 +229,79 @@ def test_dnf_has_one_distinct_clause_per_model(t):
     assert [c.source for c in clauses] == list(ht_models(t))
     assert len({c.clause for c in clauses}) == len(clauses)
     assert ht_equivalent(t, Theory((theory_to_dnf(t),), t.signature)).equivalent
+
+
+SIX_ATOMS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def interpretations(draw):
+    """(X, Y) over 0-6 atoms; totals, empty here-sets and all-undefined pairs often."""
+    sig = Signature(draw(st.sets(st.sampled_from(SIX_ATOMS), max_size=6)))
+    there = draw(st.sets(st.sampled_from(sig.atoms))) if len(sig) else set()
+    shape = draw(st.sampled_from(("any", "total", "empty here", "all undefined")))
+    if shape == "total":
+        here = there
+    elif shape == "empty here":
+        here = set()
+    elif shape == "all undefined":
+        here, there = set(), sig.names
+    else:
+        here = draw(st.sets(st.sampled_from(sorted(there)))) if there else set()
+    return HtInterpretation(here, there, sig)
+
+
+SIX = Signature(SIX_ATOMS)
+
+
+@fixed
+@given(interpretations())
+@example(HtInterpretation((), (), Signature()))
+@example(HtInterpretation((), (), SIX))
+@example(HtInterpretation((), SIX_ATOMS, SIX))
+@example(HtInterpretation(SIX_ATOMS, SIX_ATOMS, SIX))
+@example(HtInterpretation(("b", "e"), ("b", "e"), SIX))
+@example(HtInterpretation(("c",), ("a", "c", "f"), SIX))
+def test_builders_equal_the_reference(m):
+    # Node for node: == compares the exact node kinds, field by field.
+    built, expected = build_rule(m), countermodel_reference.build_rule(m)
+    assert built == expected and built.source is m
+    assert rule_to_text(built.rule) == rule_to_text(expected.rule)
+    assert built.rule._atoms == expected.rule._atoms == m.over.names
+    built, expected = build_clause(m), countermodel_reference.build_clause(m)
+    assert built == expected and built.source is m
+    assert to_text(built.clause) == to_text(expected.clause)
+
+
+@fixed
+@given(theories())
+def test_programs_equal_the_reference_rules(t):
+    countermodels = ht_countermodels(t)
+    program = program_from_set(countermodels)
+    rules = (countermodel_reference.build_rule(m).rule for m in countermodels)
+    expected = Program(tuple(rules), t.signature)
+    assert program == expected
+    assert program_to_text(program) == program_to_text(expected)
+    assert program.to_theory() == expected.to_theory()
+
+
+@fixed
+@given(
+    st.lists(st.tuples(nested, nested), max_size=4),
+    st.sets(st.sampled_from(ATOMS), max_size=2),
+)
+def test_program_signature_from_the_rules(sides, extra):
+    rules = tuple(Rule(body, head) for body, head in sides)
+    occurring = atoms_of(*(side for pair in sides for side in pair))
+    theory = Program(rules).to_theory()
+    assert Program(rules).signature == theory.signature == occurring
+    wide = occurring | Signature(extra)
+    assert Program(rules, wide).to_theory() == Theory(theory.formulas, wide)
+    if len(occurring):
+        missing = occurring.atoms[0]
+        narrow = Signature((occurring.names | extra) - {missing})
+        with pytest.raises(ValueError, match=rf"missing occurring atoms: \['{missing}'\]$"):
+            Program(rules, narrow)
 
 
 @fixed
