@@ -21,7 +21,7 @@ import sys
 from collections.abc import Callable
 
 from .counting import CountBoundExceededError, count_formula, factor_table
-from .countermodels import theory_to_dnf_clauses, theory_to_program_cm
+from .countermodels import theory_to_dnf, theory_to_dnf_clauses, theory_to_program_cm
 from .formula import (
     Program,
     Signature,
@@ -278,8 +278,9 @@ def _cmd_to_program(args: argparse.Namespace) -> int:
 
 def _cmd_to_dnf(args: argparse.Namespace) -> int:
     theory = _load_theory(args)
-    clauses = theory_to_dnf_clauses(theory, args.cap)
-    formula = disj(c.clause for c in clauses)
+    records = args.fmt == "structured" or args.annotate  # plain text keeps none
+    clauses = theory_to_dnf_clauses(theory, args.cap) if records else ()
+    formula = disj(c.clause for c in clauses) if records else theory_to_dnf(theory, args.cap)
     verification, code = _verify(
         args, theory, lambda: Theory((formula,), theory.signature)
     )

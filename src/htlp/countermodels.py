@@ -10,11 +10,13 @@ theory, its model DNF, is equivalent to it.  Both maps are injective:
 the three groups can be read back from a rule's body and head, or from
 a clause, so distinct interpretations give distinct rules and clauses.
 
-The builders share every part that does not depend on the whole
-interpretation: the literal nodes of each atom, the implication d -> e
-of each pair of atoms, and, per tuple of undefined atoms, the rule head
-and the clause's tail.  Only each rule's body spine and each clause's
-& spine are new nodes.
+The builders read the truth table's (X, Y) bit masks, with no
+HtInterpretation per member, and share every part that does not depend
+on the whole interpretation: the literal nodes of each atom, the
+implication d -> e of each pair of atoms and, per undefined-atom mask,
+the rule head and the clause's tail.  Within one call, body spines share
+their prefixes, so a rule's new nodes are about one & node on average,
+and a clause's are those and its tail's & spine.
 """
 
 from __future__ import annotations
@@ -22,15 +24,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .formula import (
-    TOP, And, Atom, Formula, Implies, Program, Rule, Theory, Value, disj, neg,
+    TOP, And, Atom, Formula, Implies, Program, Rule, Signature, Theory, Value, conj, disj,
+    neg,
 )
-from .semantics import (
-    DEFAULT_CAP,
-    HtInterpretation,
-    InterpretationSet,
-    ht_countermodels,
-    ht_models,
-)
+from .semantics import DEFAULT_CAP, HtInterpretation, InterpretationSet, _Space
 
 class NotTotalClosedError(ValueError):
     """The interpretation set misses part of a total member's column."""
@@ -50,8 +47,8 @@ class CountermodelRule(Value):
     __slots__ = __match_args__ = ("source", "rule")
 
     def __init__(self, source: HtInterpretation, rule: Rule) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "rule", rule)
+        _set_rule_source(self, source)
+        _set_rule(self, rule)
 
 
 class DnfClause(Value):
@@ -60,8 +57,12 @@ class DnfClause(Value):
     __slots__ = __match_args__ = ("source", "clause")
 
     def __init__(self, source: HtInterpretation, clause: Formula) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "clause", clause)
+        _set_clause_source(self, source)
+        _set_clause(self, clause)
+
+
+_set_rule_source, _set_rule = CountermodelRule.source.__set__, CountermodelRule.rule.__set__
+_set_clause_source, _set_clause = DnfClause.source.__set__, DnfClause.clause.__set__
 
 
 @lru_cache(maxsize=1024)
@@ -79,42 +80,69 @@ def _implication(d: str, e: str) -> Formula:
 
 
 @lru_cache(maxsize=4096)
-def _undefined_parts(undefined: tuple[str, ...]) -> tuple[Formula, tuple[Formula, ...]]:
-    """The rule head c | ~c | ... (bot when there are none) and the clause
-    tail: ~~c for every undefined atom c, then d -> e for every ordered pair."""
+def _undefined_parts(atoms: tuple[str, ...], mask: int) -> tuple[Formula, tuple]:
+    """For the atoms c of mask, the rule head c | ~c | ... (bot when there
+    are none) and the clause tail: ~~c for every c, then d -> e for every
+    ordered pair."""
+    undefined = [a for i, a in enumerate(atoms) if mask >> i & 1]
     head = disj([literal for c in undefined for literal in _literals(c)[:2]])
     tail = [_literals(c)[2] for c in undefined]
     tail += [_implication(d, e) for d in undefined for e in undefined]
     return head, tuple(tail)
 
 
-def _body(interpretation: HtInterpretation) -> tuple[Formula | None, tuple[str, ...]]:
-    """The body spine of (X, Y) and its undefined atoms, in one pass.
+@lru_cache(maxsize=256)
+def _literal_table(atoms: tuple[str, ...]) -> tuple:
+    """The atoms in name order, their number n, each atom's bit, and the
+    literal of each bit of a spine key: atom i at bit i, ~atom i at n + i."""
+    n, literals = len(atoms), [_literals(name) for name in atoms]
+    return atoms, n, {name: 1 << i for i, name in enumerate(atoms)}, {
+        1 << i + n * negated: lit[negated] for negated in (0, 1)
+        for i, lit in enumerate(literals)
+    }
 
-    The spine is the left-associated conjunction of the here-atoms, then
-    of ~b for every atom outside Y, each group in name order; None when
-    both groups are empty.
+
+def _build(lits: tuple, memo: dict, x: int, y: int, clause: bool) -> Rule | Formula:
+    """The countermodel rule of (X, Y), or with clause its DNF clause.
+
+    The body spine (here-atoms, then ~b for the atoms b outside Y, each in
+    name order, &-ed from the left) has key x | b << n, with b the mask of
+    the atoms outside Y: its last literal is the key's top bit, on the
+    spine of the key without it.  One memo per call maps each key built to
+    its spine, and ~u to the parts of undefined mask u.
     """
-    here, there = interpretation.here, interpretation.there
-    spine: Formula | None = None
-    absent: list[Formula] = []
-    undefined: list[str] = []
-    for name in interpretation.over:  # in name order
-        if name in here:
-            a = _literals(name)[0]
-            spine = a if spine is None else And(spine, a)
-        elif name in there:
-            undefined.append(name)
-        else:
-            absent.append(_literals(name)[1])
-    for not_b in absent:
-        spine = not_b if spine is None else And(spine, not_b)
-    return spine, tuple(undefined)
+    atoms, n, _, literals = lits
+    key = x | ((1 << n) - 1 ^ y) << n
+    spine = memo.get(key)
+    rest = key if memo else 0  # an empty memo holds no prefix to find
+    while spine is None and rest:  # strip literals down to a built prefix
+        rest ^= 1 << rest.bit_length() - 1
+        spine = memo.get(rest)
+    todo = key ^ rest
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        rest |= low
+        spine = memo[rest] = literals[low] if spine is None else And(spine, literals[low])
+    parts = memo.get(~(x ^ y))
+    if parts is None:
+        parts = memo[~(x ^ y)] = _undefined_parts(atoms, x ^ y)
+    if not clause:
+        return Rule(TOP if spine is None else spine, parts[0])
+    if spine is None:
+        return conj(parts[1])
+    for part in parts[1]:
+        spine = And(spine, part)
+    return spine
 
 
-def _rule(interpretation: HtInterpretation) -> Rule:
-    body, undefined = _body(interpretation)
-    return Rule(TOP if body is None else body, _undefined_parts(undefined)[0])
+def _build_one(interpretation: HtInterpretation, clause: bool) -> Rule | Formula:
+    lits, x, y = _literal_table(interpretation.over.atoms), 0, 0
+    for name in interpretation.here:
+        x |= lits[2][name]
+    for name in interpretation.there:
+        y |= lits[2][name]
+    return _build(lits, {}, x, y, clause)
 
 
 def build_rule(interpretation: HtInterpretation) -> CountermodelRule:
@@ -125,7 +153,7 @@ def build_rule(interpretation: HtInterpretation) -> CountermodelRule:
     every undefined atom (bot when the interpretation is total, i.e. a
     constraint); rules with the same undefined atoms share one head.
     """
-    return CountermodelRule(interpretation, _rule(interpretation))
+    return CountermodelRule(interpretation, _build_one(interpretation, False))
 
 
 def build_clause(interpretation: HtInterpretation) -> DnfClause:
@@ -138,10 +166,17 @@ def build_clause(interpretation: HtInterpretation) -> DnfClause:
     empty the clause is top.  Only the & spine is new; the literals and
     implications are shared nodes.
     """
-    spine, undefined = _body(interpretation)
-    for part in _undefined_parts(undefined)[1]:
-        spine = part if spine is None else And(spine, part)
-    return DnfClause(interpretation, TOP if spine is None else spine)
+    return DnfClause(interpretation, _build_one(interpretation, True))
+
+
+def _program(space: _Space, table: int) -> Program:
+    """The countermodel rules of table's members, which must be total-closed."""
+    violation = space.closure_violation(table)
+    if violation is not None:
+        raise NotTotalClosedError(*violation)
+    lits, memo = _literal_table(space.signature.atoms), {}
+    rules = tuple([_build(lits, memo, x, y, False) for x, y in space.pairs(table)])
+    return Program(rules, space.signature)
 
 
 def program_from_set(s: InterpretationSet) -> Program:
@@ -150,10 +185,12 @@ def program_from_set(s: InterpretationSet) -> Program:
     s must be total-closed, otherwise the countermodels of the result
     would strictly contain it.
     """
-    violation = s.total_closure_violation()
-    if violation is not None:
-        raise NotTotalClosedError(*violation)
-    return Program(tuple(_rule(m) for m in s), s.signature)
+    return _program(_Space(s.signature), s._table)
+
+
+def _countermodel_program(t: Theory, cap: int) -> Program:
+    space = _Space(t.signature, cap)
+    return _program(space, space.full ^ space.theory(t))
 
 
 def theory_to_program_cm(
@@ -168,19 +205,22 @@ def theory_to_program_cm(
     drops repeats.
     """
     if mode == "whole":
-        return program_from_set(ht_countermodels(t, cap))
+        return _countermodel_program(t, cap)
     if mode == "per_formula":
         rules: dict[Rule, None] = {}
         for f in t.formulas:
             sub = Theory((f,))  # over f's own atoms
-            rules.update(dict.fromkeys(program_from_set(ht_countermodels(sub, cap))))
+            rules.update(dict.fromkeys(_countermodel_program(sub, cap)))
         return Program(tuple(rules), t.signature)
     raise ValueError(f"unknown mode: {mode!r}")
 
 
 def theory_to_dnf_clauses(t: Theory, cap: int = DEFAULT_CAP) -> tuple[DnfClause, ...]:
     """One clause per model of t, in canonical model order."""
-    return tuple(build_clause(m) for m in ht_models(t, cap))
+    space, lits, memo = _Space(t.signature, cap), _literal_table(t.signature.atoms), {}
+    models = space.theory(t)
+    return tuple([DnfClause(m, _build(lits, memo, x, y, True))
+                  for (x, y), m in zip(space.pairs(models), space.members(models))])
 
 
 def theory_to_dnf(t: Theory, cap: int = DEFAULT_CAP) -> Formula:
@@ -188,4 +228,5 @@ def theory_to_dnf(t: Theory, cap: int = DEFAULT_CAP) -> Formula:
 
     Equivalent to t in here-and-there, hence strongly equivalent to it.
     """
-    return disj(c.clause for c in theory_to_dnf_clauses(t, cap))
+    space, lits, memo = _Space(t.signature, cap), _literal_table(t.signature.atoms), {}
+    return disj([_build(lits, memo, x, y, True) for x, y in space.pairs(space.theory(t))])

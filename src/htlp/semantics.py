@@ -23,8 +23,10 @@ ordered scans go through the projection of a set onto its total members
 (Y, Y), n shifted ORs, which also give the equilibrium and closure tests.
 The tables have 3^n bits, hence an explicit cap (default 16 atoms).
 
-Decoding a table into an InterpretationSet builds one checked
-HtInterpretation per member, eagerly and in canonical order.  The members
+One walk, _Space.pairs, lists a table's members in canonical order as
+(X, Y) bit masks, which the countermodel and DNF builders read as they
+are.  Decoding a table into an InterpretationSet takes the same walk and
+builds one checked HtInterpretation per member, eagerly.  The members
 share one frozenset per atom mask, so the constructor's checks are two
 subset tests and allocate nothing.
 """
@@ -184,21 +186,33 @@ class _Space:
             if bits[base >> 2] >> (2 * base & 7) & 1:  # (Y, Y) is at 2 * base
                 yield y
 
-    def members(
-        self, table: int, columns: int | None = None
-    ) -> Iterator[HtInterpretation]:
-        """table's interpretations in canonical order, from the given totals' columns."""
+    def pairs(self, table: int, columns: int | None = None, decode=None) -> Iterator:
+        """table's members in canonical order, from the given totals' columns:
+        each as its masks (x, y), or with decode as decode(X, Y, signature)."""
         bits = table.to_bytes(self.size // 8 + 1, "little")
         offset, names, sig = self.offset, self.names, self.signature
         for y in self.totals(self.project(table) if columns is None else columns):
-            base, there, x = offset[y], names[y], 0
+            base, x = offset[y], 0
             while True:
                 p = base + offset[x]
                 if bits[p >> 3] >> (p & 7) & 1:
-                    yield HtInterpretation(names[x], there, sig)
+                    yield (x, y) if decode is None else decode(names[x], names[y], sig)
                 if x == y:
                     break
                 x = (x - y) & y  # the next submask of y
+
+    def members(self, table: int, columns: int | None = None) -> Iterator[HtInterpretation]:
+        """table's interpretations in canonical order, decoded on the walk of pairs."""
+        return self.pairs(table, columns, HtInterpretation)
+
+    def closure_violation(self, table: int) -> tuple[HtInterpretation, ...] | None:
+        """A total member of table whose column is incomplete, with a missing (X, Y)."""
+        missing = self.full ^ table
+        broken = table & self.project(missing)
+        if not broken:
+            return None
+        gap = next(self.members(missing, broken & -broken))
+        return HtInterpretation(gap.there, gap.there, self.signature), gap
 
 
 class InterpretationSet(Value):
@@ -258,13 +272,7 @@ class InterpretationSet(Value):
         self,
     ) -> tuple[HtInterpretation, HtInterpretation] | None:
         """A total member whose family is incomplete, with a missing (X, Y)."""
-        space = _Space(self.signature)
-        missing = space.full ^ self._table
-        broken = self._table & space.project(missing)
-        if not broken:
-            return None
-        gap = next(space.members(missing, broken & -broken))
-        return HtInterpretation(gap.there, gap.there, self.signature), gap
+        return _Space(self.signature).closure_violation(self._table)
 
     def display_lines(self) -> list[str]:
         return [m.display() for m in self.members]

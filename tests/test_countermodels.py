@@ -23,6 +23,7 @@ from htlp import (
     theory_to_program_cm,
 )
 import ht_reference as ref
+from htlp import semantics
 from api_reference import enumerate_interpretations
 from conftest import single
 
@@ -166,6 +167,21 @@ class TestTheoryToProgram:
         for rule in per_formula:
             rule_atoms = set(atoms_of(rule.to_formula()))
             assert any(rule_atoms <= atom_set for atom_set in formula_atom_sets)
+
+    def test_every_table_gets_the_closure_check(self, monkeypatch):
+        checked = []
+        original = semantics._Space.closure_violation
+        monkeypatch.setattr(
+            semantics._Space, "closure_violation",
+            lambda space, table: checked.append(table) or original(space, table),
+        )
+        theory = parse_theory("p -> q\nq | ~r\n")
+        theory_to_program_cm(theory)
+        assert len(checked) == 1
+        theory_to_program_cm(theory, "per_formula")
+        assert len(checked) == 3
+        program_from_set(ht_countermodels(theory))
+        assert len(checked) == 4
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

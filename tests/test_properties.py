@@ -21,6 +21,7 @@ from htlp import (
     HtInterpretation,
     Implies,
     InterpretationSet,
+    NotTotalClosedError,
     Or,
     Program,
     Rule,
@@ -31,6 +32,7 @@ from htlp import (
     build_clause,
     build_rule,
     conj,
+    disj,
     equilibrium_models,
     estimated_rule_count,
     is_nested_expression,
@@ -283,6 +285,110 @@ def test_programs_equal_the_reference_rules(t):
     assert program == expected
     assert program_to_text(program) == program_to_text(expected)
     assert program.to_theory() == expected.to_theory()
+
+
+def reference_program(t: Theory) -> Program:
+    """The countermodel rules of t over its signature, from the reference listing."""
+    rules = (
+        countermodel_reference.build_rule(HtInterpretation(x, y, t.signature)).rule
+        for x, y in ref.countermodels(t)
+    )
+    return Program(tuple(rules), t.signature)
+
+
+@fixed
+@given(theories())
+@example(Theory(()))
+@example(Theory((), Signature(("a", "b"))))
+@example(Theory((BOT,)))
+@example(Theory((BOT,), Signature(("a", "c"))))
+@example(Theory((Or(Atom("a"), neg(Atom("a"))),), Signature(("a", "b", "e"))))
+def test_translations_equal_the_reference(t):
+    # Node for node, and in text: == compares the exact node kinds, field by field.
+    whole, expected = theory_to_program_cm(t), reference_program(t)
+    assert whole == expected
+    assert program_to_text(whole) == program_to_text(expected)
+    per_formula = theory_to_program_cm(t, "per_formula")
+    rules: dict = {}
+    for f in t.formulas:
+        rules.update(dict.fromkeys(reference_program(Theory((f,)))))
+    expected = Program(tuple(rules), t.signature)
+    assert per_formula == expected
+    assert program_to_text(per_formula) == program_to_text(expected)
+    models = [HtInterpretation(x, y, t.signature) for x, y in ref.models(t)]
+    expected_clauses = [countermodel_reference.build_clause(m) for m in models]
+    clauses = theory_to_dnf_clauses(t)
+    assert list(clauses) == expected_clauses
+    assert [c.source for c in clauses] == models
+    assert [to_text(c.clause) for c in clauses] == [to_text(c.clause) for c in expected_clauses]
+    dnf, expected = theory_to_dnf(t), disj(c.clause for c in expected_clauses)
+    assert dnf == expected and to_text(dnf) == to_text(expected)
+
+
+def spine_nodes(f) -> list:
+    """The & nodes down the left spine of f."""
+    nodes = []
+    while type(f) is And:
+        nodes.append(f)
+        f = f.left
+    return nodes
+
+
+EVERY_INTERPRETATION = Theory((BOT,), Signature(("a", "b", "c", "d")))
+
+
+def test_bodies_of_one_call_share_their_prefixes():
+    program = theory_to_program_cm(EVERY_INTERPRETATION)
+    by_text = {rule_to_text(r): r for r in program}
+    longer = by_text["a & ~c & ~d -> b | ~b"]
+    shorter = by_text["a & ~c -> b | ~b | d | ~d"]
+    assert longer.body.left is shorter.body
+    bodies = [r.body for r in program]
+    clauses = list(_disjuncts(theory_to_dnf(Theory((), EVERY_INTERPRETATION.signature))))
+    for built in (bodies, clauses):
+        seen: dict = {}
+        for f in built:
+            for node in spine_nodes(f):
+                assert seen.setdefault(node, node) is node
+
+
+def _disjuncts(f):
+    while type(f) is Or:
+        yield f.right
+        f = f.left
+    yield f
+
+
+def test_separate_calls_share_no_spine_node():
+    sig = EVERY_INTERPRETATION.signature
+    builds = [
+        lambda: [r.body for r in theory_to_program_cm(EVERY_INTERPRETATION)],
+        lambda: list(_disjuncts(theory_to_dnf(Theory((), sig)))),
+        lambda: [c.clause for c in theory_to_dnf_clauses(Theory((), sig))],
+        lambda: [build_rule(HtInterpretation("a", "ab", sig)).rule.body],
+        lambda: [build_clause(HtInterpretation("a", "ab", sig)).clause],
+    ]
+    for build in builds:
+        first, second = build(), build()
+        assert first == second
+        kept = {id(node) for f in first for node in spine_nodes(f)}
+        assert kept and not any(id(node) in kept for f in second for node in spine_nodes(f))
+
+
+@fixed
+@given(interpretation_sets())
+def test_program_from_an_open_set_raises(drawn):
+    sig, members = drawn
+    s = InterpretationSet(tuple(members), sig)
+    drawn_pairs = {(m.here, m.there) for m in members}
+    expected = ref.closure_violation([p for p in ref.interpretations(sig) if p in drawn_pairs], sig)
+    assume(expected is not None)
+    (total_here, total_there), (here, there) = expected
+    with pytest.raises(NotTotalClosedError) as err:
+        program_from_set(s)
+    total, missing = HtInterpretation(total_here, total_there, sig), HtInterpretation(here, there, sig)
+    assert str(err.value) == f"set contains total ({total.display()}) but not ({missing.display()})"
+    assert (err.value.total_member, err.value.missing) == (total, missing)
 
 
 @fixed
