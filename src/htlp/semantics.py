@@ -268,9 +268,7 @@ class InterpretationSet(Value):
     def __contains__(self, item: object) -> bool:
         return item in self.members
 
-    def total_closure_violation(
-        self,
-    ) -> tuple[HtInterpretation, HtInterpretation] | None:
+    def total_closure_violation(self) -> tuple[HtInterpretation, HtInterpretation] | None:
         """A total member whose family is incomplete, with a missing (X, Y)."""
         return _Space(self.signature).closure_violation(self._table)
 
