@@ -24,8 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .formula import (
-    TOP, And, Atom, Formula, Implies, Program, Rule, Signature, Theory, Value, conj, disj,
-    neg,
+    TOP, And, Atom, Formula, Implies, Program, Rule, Theory, Value, conj, disj, neg,
 )
 from .semantics import DEFAULT_CAP, HtInterpretation, InterpretationSet, _Space
 
@@ -105,11 +104,11 @@ def _literal_table(atoms: tuple[str, ...]) -> tuple:
 def _build(lits: tuple, memo: dict, x: int, y: int, clause: bool) -> Rule | Formula:
     """The countermodel rule of (X, Y), or with clause its DNF clause.
 
-    The body spine (here-atoms, then ~b for the atoms b outside Y, each in
-    name order, &-ed from the left) has key x | b << n, with b the mask of
-    the atoms outside Y: its last literal is the key's top bit, on the
-    spine of the key without it.  One memo per call maps each key built to
-    its spine, and ~u to the parts of undefined mask u.
+    The body spine (the here-atoms, then ~b for each atom b outside Y,
+    each group in name order, &-ed from the left) has the key x | b << n,
+    b here the mask of the atoms outside Y: its last literal is the key's
+    top bit, on the spine of the key without it.  One memo per call maps
+    each key built to its spine, and ~u to the parts of undefined mask u.
     """
     atoms, n, _, literals = lits
     key = x | ((1 << n) - 1 ^ y) << n
@@ -137,6 +136,7 @@ def _build(lits: tuple, memo: dict, x: int, y: int, clause: bool) -> Rule | Form
 
 
 def _build_one(interpretation: HtInterpretation, clause: bool) -> Rule | Formula:
+    """_build on the masks of one interpretation, with a memo of its own."""
     lits, x, y = _literal_table(interpretation.over.atoms), 0, 0
     for name in interpretation.here:
         x |= lits[2][name]
