@@ -12,10 +12,11 @@ A *nested expression* is a formula whose implications are all negations
 expressions, and a *program* is a set of rules.  Bare nested expressions
 count as rules with body top.
 
-Nodes, rules, theories and programs are immutable values (Value), compared
-and hashed by their fields.  Every constructor checks, and copies and
-pickles are rebuilt through the constructors.  The walks dispatch on the
-exact node type, so the node kinds are not meant to be subclassed.
+Nodes, signatures, rules, theories and programs are immutable values
+(Value), compared and hashed by their fields.  Every constructor checks,
+and copies and pickles are rebuilt through the constructors.  The walks
+dispatch on the exact node type, so the node kinds are not meant to be
+subclassed.
 """
 
 from __future__ import annotations
@@ -207,21 +208,25 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return BOT if acc is None else acc
 
 
-class Signature:
+class Signature(Value):
     """Finite set of atom names, always iterated in name order.
 
-    atoms is the sorted tuple of the names, names the same names as a
-    frozenset, for membership and subset tests without allocation.
+    atoms, the one field, is the sorted tuple of the names; names holds
+    the same names as a frozenset, for membership and subset tests
+    without allocation.
     """
 
     __slots__ = ("atoms", "names")
+    __match_args__ = ("atoms",)
 
     def __init__(self, atoms: Iterable[str] = ()) -> None:
-        self.names: frozenset[str] = frozenset(atoms)
-        self.atoms: tuple[str, ...] = tuple(sorted(self.names))
-        for name in self.atoms:
+        names = frozenset(atoms)
+        sorted_atoms = tuple(sorted(names))
+        for name in sorted_atoms:
             if not is_valid_atom_name(name):
                 raise ValueError(f"invalid atom name: {name!r}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "atoms", sorted_atoms)
 
     def __contains__(self, name: object) -> bool:
         return name in self.names
@@ -267,6 +272,8 @@ def _atom_names(formulas: Iterable[Formula]) -> set[str]:
             else:
                 stack.append(node.antecedent)
             stack.append(node.consequent)
+        elif kind is not Bottom:
+            raise TypeError(f"not a formula: {node!r}")
     return names
 
 
@@ -456,7 +463,11 @@ _set_body, _set_head, _set_atoms = Rule.body.__set__, Rule.head.__set__, Rule._a
 
 def _rule_atoms(rules: tuple[Rule, ...]) -> set[str]:
     """The atoms of the rules, from the sets their checks collected."""
-    return set().union(*{r._atoms for r in rules})
+    try:
+        return set().union(*{r._atoms for r in rules})
+    except AttributeError:  # only a non-rule lacks _atoms
+        bad = next(r for r in rules if not isinstance(r, Rule))
+        raise TypeError(f"not a rule: {bad!r}") from None
 
 
 class Program(Value):

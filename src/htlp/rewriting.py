@@ -38,6 +38,14 @@ normalizing a rewritten subtree again.  A simplified translation counts
 the rules its Lemma 1 and distribution steps build and the body
 branches the simplifier expands, and raises RuleBudgetExceededError past
 SIMPLIFY_RULE_BUDGET.
+
+Each public entry point builds one run object, _Run, and hands it down
+the recursion: the trace that records the steps, the cap of the
+simplifier's validity checks, and the rule limit with the count spent
+against it.  A limit of None marks the raw construction: conjunctions
+keep their duplicate rules, encoded disjunctions are not recognised,
+Lemma 1's output is not cleaned up, and spend() counts nothing.  The
+public simplify() runs the cleanup alone, under such an uncounted run.
 """
 
 from __future__ import annotations
@@ -145,16 +153,40 @@ class RuleBudgetExceededError(Exception):
     """A syntactic translation would build more rules than its budget."""
 
 
-class _RuleBudget:
-    """The running rule count of one simplified translation."""
+class _Run:
+    """The trace, cap and rule budget of one translation; limit None is raw."""
 
-    __slots__ = ("limit", "spent")
+    __slots__ = ("trace", "cap", "limit", "spent")
 
-    def __init__(self, limit: int) -> None:
+    def __init__(
+        self, trace: RewriteTrace | None, cap: int, limit: int | None = None
+    ) -> None:
+        self.trace = trace
+        self.cap = cap
         self.limit = limit
         self.spent = 0
 
+    @classmethod
+    def start(
+        cls, formulas: Iterable[Formula], simplify: bool, trace: RewriteTrace | None, cap: int
+    ) -> _Run:
+        """A simplified run within SIMPLIFY_RULE_BUDGET, or a raw one once the
+        estimate of its size is within RAW_RULE_BUDGET."""
+        if simplify:
+            return cls(trace, cap, SIMPLIFY_RULE_BUDGET)
+        needed = sum(estimated_rule_count(f) for f in formulas)
+        if needed > RAW_RULE_BUDGET:
+            at_least = "at least " if needed >= RULE_COUNT_CEILING else ""
+            raise RuleBudgetExceededError(
+                f"the raw syntactic translation has {at_least}{needed} rules, "
+                f"over the budget of {RAW_RULE_BUDGET}"
+            )
+        return cls(trace, cap)
+
     def spend(self, rules: int) -> None:
+        """Count rules against the limit; a raw run counts nothing."""
+        if self.limit is None:
+            return
         self.spent += rules
         if self.spent > self.limit:
             raise RuleBudgetExceededError(
@@ -164,18 +196,14 @@ class _RuleBudget:
 
 
 def _implication(
-    rules1: tuple[Rule, ...],
-    rules2: tuple[Rule, ...],
-    trace: RewriteTrace | None,
-    budget: _RuleBudget | None = None,
-    cap: int = DEFAULT_CAP,
+    rules1: tuple[Rule, ...], rules2: tuple[Rule, ...], run: _Run
 ) -> tuple[Rule, ...]:
-    """The rules of rules1 -> rules2; budget is None for the literal construction."""
+    """The rules of rules1 -> rules2."""
     if not rules1:
         return rules2
+    trace = run.trace
     if len(rules1) == 1:
-        if budget is not None:
-            budget.spend(2 * len(rules2))
+        run.spend(2 * len(rules2))
         antecedent = rules1[0]
         if trace is not None and len(rules2) > 1:
             trace.record(
@@ -198,11 +226,11 @@ def _implication(
                 )
             out.append(first)
             out.append(second)
-        if budget is not None:
-            # Cleaning up right away keeps the antecedent rule count small
-            # through the currying recursion; raw growth is exponential.
-            return _simplify_rules(tuple(out), trace, cap, budget)
-        return tuple(out)
+        if run.limit is None:
+            return tuple(out)
+        # Cleaning up right away keeps the antecedent rule count small
+        # through the currying recursion; raw growth is exponential.
+        return _simplify_rules(tuple(out), run)
     # Balanced split keeps the recursion depth logarithmic.
     half = len(rules1) // 2
     outer, inner = rules1[:half], rules1[half:]
@@ -215,8 +243,8 @@ def _implication(
                 Implies(_rules_formula(inner), _rules_formula(rules2)),
             ),
         )
-    composed = _implication(inner, rules2, trace, budget, cap)
-    return _implication(outer, composed, trace, budget, cap)
+    composed = _implication(inner, rules2, run)
+    return _implication(outer, composed, run)
 
 
 def _same(f: Formula, g: Formula) -> bool:
@@ -264,69 +292,45 @@ def _rule_disjunction(r: Rule, s: Rule) -> tuple[Rule, ...]:
 
 
 def _disjunction(
-    rules1: tuple[Rule, ...],
-    rules2: tuple[Rule, ...],
-    trace: RewriteTrace | None,
-    budget: _RuleBudget,
-    cap: int,
+    rules1: tuple[Rule, ...], rules2: tuple[Rule, ...], run: _Run
 ) -> tuple[Rule, ...]:
     """The rules of rules1 | rules2: | distributed over every pair of rules."""
-    budget.spend(4 * len(rules1) * len(rules2))
+    run.spend(4 * len(rules1) * len(rules2))
     out = tuple(
         rule for r in rules1 for s in rules2 for rule in _rule_disjunction(r, s)
     )
-    if trace is not None:
-        trace.record(
+    if run.trace is not None:
+        run.trace.record(
             "or-distribute",
             Or(_rules_formula(rules1), _rules_formula(rules2)),
             _rules_formula(out),
         )
-    return _simplify_rules(out, trace, cap, budget)
+    return _simplify_rules(out, run)
 
 
-def _convert(
-    f: Formula,
-    trace: RewriteTrace | None,
-    budget: _RuleBudget | None,
-    cap: int,
-) -> tuple[Rule, ...]:
+def _convert(f: Formula, run: _Run) -> tuple[Rule, ...]:
     kind = type(f)
     if kind is Atom:
         return (Rule(TOP, f),)
     if kind is Bottom:
         return (Rule(TOP, BOT),)
-    if kind is And:
-        if budget is not None:
-            encoded = _encoded_disjunction(f)
-            if encoded is not None:
-                return _disjunction(
-                    _convert(encoded[0], trace, budget, cap),
-                    _convert(encoded[1], trace, budget, cap),
-                    trace,
-                    budget,
-                    cap,
-                )
-        left = _convert(f.left, trace, budget, cap)
-        right = _convert(f.right, trace, budget, cap)
-        merged = left + right
-        if trace is not None:
-            trace.record(
-                "conj-merge",
-                And(_rules_formula(left), _rules_formula(right)),
-                _rules_formula(merged),
-            )
-        if budget is not None:
-            merged = tuple(dict.fromkeys(merged))
-        return merged
     if kind is Implies:
-        return _implication(
-            _convert(f.antecedent, trace, budget, cap),
-            _convert(f.consequent, trace, budget, cap),
-            trace,
-            budget,
-            cap,
+        return _implication(_convert(f.antecedent, run), _convert(f.consequent, run), run)
+    if kind is not And:
+        raise AssertionError("disjunctions must be eliminated before conversion")
+    raw = run.limit is None
+    encoded = None if raw else _encoded_disjunction(f)
+    if encoded is not None:
+        return _disjunction(_convert(encoded[0], run), _convert(encoded[1], run), run)
+    left, right = _convert(f.left, run), _convert(f.right, run)
+    merged = left + right
+    if run.trace is not None:
+        run.trace.record(
+            "conj-merge",
+            And(_rules_formula(left), _rules_formula(right)),
+            _rules_formula(merged),
         )
-    raise AssertionError("disjunctions must be eliminated before conversion")
+    return merged if raw else tuple(dict.fromkeys(merged))
 
 
 def formula_to_program_syn(
@@ -344,8 +348,8 @@ def formula_to_program_syn(
     within RAW_RULE_BUDGET.  Rules may still have nested bodies and heads
     either way.
     """
-    budget = _budget((f,), simplify)
-    rules = _convert(eliminate_connectives(f, trace), trace, budget, cap)
+    run = _Run.start((f,), simplify, trace, cap)
+    rules = _convert(eliminate_connectives(f, trace), run)
     return Program(rules, atoms_of(f))
 
 
@@ -392,21 +396,6 @@ def _saturated_implication(m: int, n: int) -> int:
     return min(RULE_COUNT_CEILING, (1 << m) * n)
 
 
-def _budget(formulas: Iterable[Formula], simplify: bool) -> _RuleBudget | None:
-    """The running budget of a simplified translation; for a raw one, None
-    once the estimate of its size is within RAW_RULE_BUDGET."""
-    if simplify:
-        return _RuleBudget(SIMPLIFY_RULE_BUDGET)
-    needed = sum(estimated_rule_count(f) for f in formulas)
-    if needed > RAW_RULE_BUDGET:
-        at_least = "at least " if needed >= RULE_COUNT_CEILING else ""
-        raise RuleBudgetExceededError(
-            f"the raw syntactic translation has {at_least}{needed} rules, "
-            f"over the budget of {RAW_RULE_BUDGET}"
-        )
-    return None
-
-
 def theory_to_program_syn(
     t: Theory,
     simplify: bool = False,
@@ -418,12 +407,10 @@ def theory_to_program_syn(
     With simplify=True the whole theory shares one SIMPLIFY_RULE_BUDGET;
     without it, the estimates of all formulas share RAW_RULE_BUDGET.
     """
-    budget = _budget(t.formulas, simplify)
+    run = _Run.start(t.formulas, simplify, trace, cap)
     rules: dict[Rule, None] = {}
     for f in t.formulas:
-        rules.update(
-            dict.fromkeys(_convert(eliminate_connectives(f, trace), trace, budget, cap))
-        )
+        rules.update(dict.fromkeys(_convert(eliminate_connectives(f, trace), run)))
     return Program(tuple(rules), t.signature)
 
 
@@ -526,13 +513,6 @@ def _is_negation(f: Formula) -> bool:
     return type(f) is Implies and type(f.consequent) is Bottom
 
 
-def _rule_ht_valid(rule: Rule, cap: int) -> bool:
-    try:
-        return ht_valid(rule.to_formula(), cap)
-    except CapExceededError:
-        return False  # too big to check, keep the rule
-
-
 def _propagate_units(
     d: Formula, unit_set: set[Formula]
 ) -> Formula | None:
@@ -555,9 +535,7 @@ def _propagate_units(
     return d
 
 
-def _simplify_head(
-    units: list[Formula], head: Formula, cap: int
-) -> Rule | None:
+def _simplify_head(units: list[Formula], head: Formula, run: _Run) -> Rule | None:
     """The cleaned-up rule for one body branch, None when tautological."""
     unit_set = set(units)
     kept: list[Formula] = []
@@ -579,61 +557,43 @@ def _simplify_head(
     if head_pos & head_negs:
         trigger = True
     rule = Rule(conj(units), disj(kept))
-    if trigger and _rule_ht_valid(rule, cap):
-        return None
+    if trigger:
+        try:
+            if ht_valid(rule.to_formula(), run.cap):
+                return None
+        except CapExceededError:
+            pass  # too big to check, keep the rule
     return rule
 
 
-def _simplify_rule(
-    r: Rule,
-    trace: RewriteTrace | None,
-    cap: int,
-    budget: _RuleBudget | None,
-) -> list[Rule]:
+def _simplify_rule(r: Rule, run: _Run) -> list[Rule]:
     body = _normalize(r.body)
     head = _normalize(r.head)
     results: list[Rule] = []
-    if type(body) is Bottom or _is_top(head):
-        _record_simplify(trace, r, results)
-        return results
-    choices = [_flatten_or(factor) for factor in _flatten_and(body)]
-    if budget is not None:
-        budget.spend(math.prod(len(c) for c in choices))
-    for combo in itertools.product(*choices):
-        units = list(dict.fromkeys(combo))
-        unit_set = set(units)
-        if any(neg(u) in unit_set for u in units):
-            continue  # contradictory branch of the body
-        cleaned = _simplify_head(units, head, cap)
-        if cleaned is not None:
-            results.append(cleaned)
-    _record_simplify(trace, r, results)
+    if type(body) is not Bottom and not _is_top(head):
+        choices = [_flatten_or(factor) for factor in _flatten_and(body)]
+        run.spend(math.prod(len(c) for c in choices))
+        for combo in itertools.product(*choices):
+            units = list(dict.fromkeys(combo))
+            unit_set = set(units)
+            if any(neg(u) in unit_set for u in units):
+                continue  # contradictory branch of the body
+            cleaned = _simplify_head(units, head, run)
+            if cleaned is not None:
+                results.append(cleaned)
+    if run.trace is not None and not (len(results) == 1 and results[0] == r):
+        name = "simplify-rewrite" if results else "simplify-drop-taut"
+        run.trace.record(name, r.to_formula(), _rules_formula(results))
     return results
 
 
-def _record_simplify(
-    trace: RewriteTrace | None, before: Rule, results: list[Rule]
-) -> None:
-    if trace is None:
-        return
-    if len(results) == 1 and results[0] == before:
-        return
-    name = "simplify-rewrite" if results else "simplify-drop-taut"
-    trace.record(name, before.to_formula(), _rules_formula(results))
-
-
-def _simplify_rules(
-    rules: tuple[Rule, ...],
-    trace: RewriteTrace | None,
-    cap: int,
-    budget: _RuleBudget | None = None,
-) -> tuple[Rule, ...]:
+def _simplify_rules(rules: tuple[Rule, ...], run: _Run) -> tuple[Rule, ...]:
     out: list[Rule] = []
     for r in rules:
-        out.extend(_simplify_rule(r, trace, cap, budget))
+        out.extend(_simplify_rule(r, run))
     deduped = tuple(dict.fromkeys(out))
-    if trace is not None and len(deduped) != len(out):
-        trace.record("simplify-dedup", _rules_formula(out), _rules_formula(deduped))
+    if run.trace is not None and len(deduped) != len(out):
+        run.trace.record("simplify-dedup", _rules_formula(out), _rules_formula(deduped))
     return deduped
 
 
@@ -641,4 +601,4 @@ def simplify(
     p: Program, cap: int = DEFAULT_CAP, trace: RewriteTrace | None = None
 ) -> Program:
     """Equivalence-preserving cleanup; never changes the model set."""
-    return Program(_simplify_rules(tuple(p.rules), trace, cap), p.signature)
+    return Program(_simplify_rules(tuple(p.rules), _Run(trace, cap)), p.signature)

@@ -24,7 +24,7 @@ from htlp import (
     ht_models,
     neg,
 )
-from htlp.rewriting import _implication
+from htlp.rewriting import _implication, _Run
 
 
 def enumerate_interpretations(
@@ -45,7 +45,7 @@ def implication_of_programs(
     p1: Program, p2: Program, trace: Optional[RewriteTrace] = None
 ) -> Program:
     """A program equivalent to (conjunction of p1) -> (conjunction of p2)."""
-    rules = _implication(tuple(p1.rules), tuple(p2.rules), trace)
+    rules = _implication(tuple(p1.rules), tuple(p2.rules), _Run(trace, DEFAULT_CAP))
     return Program(rules, p1.signature | p2.signature)
 
 

@@ -34,6 +34,8 @@ def atoms_of(*formulas: Formula) -> Signature:
         elif isinstance(node, Implies):
             stack.append(node.antecedent)
             stack.append(node.consequent)
+        elif not isinstance(node, Bottom):
+            raise TypeError(f"not a formula: {node!r}")
     return Signature(names)
 
 

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from htlp import cli, ht_countermodels, ht_models, parse_theory, rewriting, sema
 from htlp.cli import main
 
 FORMULA2 = "(q -> p) | r\n"
+
+#: Whole outputs too long to inline, captured from the CLI.
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN_COUNTERMODELS = """\
 ∅ | q
@@ -203,6 +207,22 @@ class TestToProgram:
         assert code == 0
         assert "STEP lemma1:" in err
         assert "STEP" not in out
+
+    @pytest.mark.parametrize("text, flags, golden", [
+        (FORMULA2, (), "trace_paper_raw.txt"),
+        (FORMULA2, ("--simplify",), "trace_paper_simplified.txt"),
+        ("((a|b)->(c|d))->((b|c)->(d|a))\n", ("--simplify",),
+         "trace_four_atoms_simplified.txt"),
+    ], ids=["paper-raw", "paper-simplified", "four-atoms-simplified"])
+    def test_trace_golden(self, capsys, tmp_path, text, flags, golden):
+        # Every step, in order, as the CLI prints it: the rule names and
+        # both sides' texts are the trace's contract.
+        path = write(tmp_path, "in.lp", text)
+        code, _, err = run_cli(
+            capsys, "to-program", "--method=syntactic", *flags, "--trace", path
+        )
+        assert code == 0
+        assert err == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
     def test_empty_theory(self, capsys, tmp_path):
         path = write(tmp_path, "empty.lp", "% nothing here\n")

@@ -307,6 +307,16 @@ class TestRuleAndProgram:
         assert prog.to_theory().formulas == (p, Implies(q, BOT))
         assert list(prog.to_theory().signature) == ["p", "q", "z"]
 
+    def test_non_formulas_and_non_rules_are_refused_on_entry(self):
+        with pytest.raises(TypeError, match=r"^not a formula: 'a'$"):
+            atoms_of(p, "a")
+        with pytest.raises(TypeError, match=r"^not a formula: 'q'$"):
+            Theory((And(p, "q"),))
+        with pytest.raises(TypeError, match=r"^not a rule: 'x'$"):
+            Program(("x",))
+        with pytest.raises(TypeError, match=r"^not a rule: q$"):
+            Program((Rule(TOP, p), q))
+
     def test_theory_signature_must_cover_atoms(self):
         with pytest.raises(ValueError):
             Theory((p,), Signature(["q"]))
@@ -328,7 +338,7 @@ def _node_kinds():
     rule = Rule(And(a, neg(b)), Or(b, neg(b)))
     return [
         BOT, a, And(a, neg(b)), Or(a, TOP), Implies(Or(a, b), neg(a)), rule,
-        Theory((a, neg(b)), sig), Program((rule,)),
+        sig, Theory((a, neg(b)), sig), Program((rule,)),
         here_a, InterpretationSet((here_a,)), EquivalenceResult(False, here_a),
         CountermodelRule(here_a, rule), DnfClause(here_a, And(a, neg(neg(b)))),
         TraceStep("neg", neg(a), Implies(a, BOT)), Token("atom", "a", 1, 2),
@@ -344,6 +354,7 @@ FIELDS_AND_REPRS = {
     "Or": (("left", "right"), "a | top"),
     "Implies": (("antecedent", "consequent"), "a | b -> ~a"),
     "Rule": (("body", "head"), "a & ~b -> b | ~b"),
+    "Signature": (("atoms",), "{a, b}"),
     "Theory": (("formulas", "signature"), "Theory(formulas=(a, ~b), signature={a, b})"),
     "Program": (("rules", "signature"), "a & ~b -> b | ~b"),
     "HtInterpretation": (("here", "there", "over"), "(a | a b)"),
