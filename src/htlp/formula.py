@@ -17,13 +17,24 @@ Nodes, signatures, rules, theories and programs are immutable values
 and copies and pickles are rebuilt through the constructors.  The walks
 dispatch on the exact node type, so the node kinds are not meant to be
 subclassed.
+
+Every node also keeps one private int, _bits, which its constructor
+computes from its children's: bit 0 is set when the node is not a nested
+expression, and bit i + 1 when the i-th name of a process-wide atom index
+(numbered in first-seen order) occurs in it.  So the rule checks,
+atoms_of and the signature checks of Theory and Program OR ints instead
+of walking trees.  It costs 8 bytes per node, plus one bit per distinct
+atom name the process has built.  A node with a non-formula below it
+keeps None, and the walks run on it to name the error.  _bits is not a
+field, so hash, == and repr ignore it, and they still recurse through
+the tree.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 
 _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -84,7 +95,7 @@ class Value:
 class Formula(Value):
     """Base class of the five syntax-tree node kinds."""
 
-    __slots__ = ()
+    __slots__ = ("_bits",)
 
     def __repr__(self) -> str:
         try:
@@ -95,6 +106,7 @@ class Formula(Value):
 
 class Bottom(Formula):
     __slots__ = ()
+    _bits = 0  # no atoms, and nested: the same for every instance
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -109,9 +121,14 @@ class Atom(Formula):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        if not is_valid_atom_name(name):
-            raise ValueError(f"invalid atom name: {name!r}")
+        # Only valid names are indexed, so an indexed one skips the check.
+        bit = _ATOM_BITS.get(name) if type(name) is str else None
+        if bit is None:
+            if not is_valid_atom_name(name):
+                raise ValueError(f"invalid atom name: {name!r}")
+            bit = _index_atom(name)
         _set_name(self, name)
+        _set_bits(self, bit)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -130,6 +147,10 @@ class _Binary(Formula):
     def __init__(self, left: Formula, right: Formula) -> None:
         _set_left(self, left)
         _set_right(self, right)
+        try:
+            _set_bits(self, left._bits | right._bits)
+        except (AttributeError, TypeError):  # a non-formula below
+            _set_bits(self, None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -154,6 +175,11 @@ class Implies(Formula):
     def __init__(self, antecedent: Formula, consequent: Formula) -> None:
         _set_antecedent(self, antecedent)
         _set_consequent(self, consequent)
+        try:  # a nested expression only when a negation
+            bits = antecedent._bits | consequent._bits | (type(consequent) is not Bottom)
+        except (AttributeError, TypeError):  # a non-formula below
+            bits = None
+        _set_bits(self, bits)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -165,9 +191,37 @@ class Implies(Formula):
 
 
 # The slot descriptors' setters, the cheapest way past Value.__setattr__.
-_set_name = Atom.name.__set__
+_set_bits, _set_name = Formula._bits.__set__, Atom.name.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _set_antecedent, _set_consequent = Implies.antecedent.__set__, Implies.consequent.__set__
+
+# The process-wide atom index: each name's bit, and the names by bit
+# position minus one.  Only _index_atom adds to them, under the lock.
+_ATOM_BITS: dict[str, int] = {}
+_INDEXED: list[str] = []
+_INDEX_LOCK = threading.Lock()
+
+
+def _index_atom(name: str) -> int:
+    """name's bit, adding name to the atom index on first sight."""
+    with _INDEX_LOCK:
+        bit = _ATOM_BITS.get(name)
+        if bit is None:
+            _INDEXED.append(name)
+            bit = _ATOM_BITS[name] = 1 << len(_INDEXED)
+        return bit
+
+
+def _names(bits: int) -> set[str]:
+    """The atom names whose bits are set in bits (bit 0 is ignored)."""
+    names: set[str] = set()
+    bits &= ~1
+    while bits:
+        low = bits & -bits
+        names.add(_INDEXED[low.bit_length() - 2])
+        bits ^= low
+    return names
+
 
 BOT = Bottom()
 TOP = Implies(BOT, BOT)
@@ -255,26 +309,33 @@ def atoms_of(*formulas: Formula) -> Signature:
     return Signature(_atom_names(formulas))
 
 
-def _atom_names(formulas: Iterable[Formula]) -> set[str]:
-    names: set[str] = set()
+def _atom_names(formulas: tuple[Formula, ...]) -> set[str]:
+    """The atoms of the formulas, from their nodes' bits."""
+    bits = 0
+    for f in formulas:
+        f_bits = getattr(f, "_bits", None)
+        if f_bits is None:
+            _refuse_non_formulas(formulas)
+        bits |= f_bits
+    return _names(bits)
+
+
+def _refuse_non_formulas(formulas: tuple[Formula, ...]) -> None:
+    """Raise TypeError at the first non-formula among or inside the
+    formulas that a depth-first walk meets, last formula and right
+    operand first."""
     stack = list(formulas)
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is Atom:
-            names.add(node.name)
-        elif kind is And or kind is Or:
+        if kind is And or kind is Or:
             stack.append(node.left)
             stack.append(node.right)
         elif kind is Implies:
-            if type(node.antecedent) is Atom:  # a literal ~a, or a -> G
-                names.add(node.antecedent.name)
-            else:
-                stack.append(node.antecedent)
+            stack.append(node.antecedent)
             stack.append(node.consequent)
-        elif kind is not Bottom:
+        elif kind is not Atom and kind is not Bottom:
             raise TypeError(f"not a formula: {node!r}")
-    return names
 
 
 def _covering(signature: Signature | None, occurring: set[str]) -> Signature:
@@ -311,11 +372,12 @@ class Theory(Value):
 
 # --- syntactic classes -------------------------------------------------
 
-def _nested_atoms(f: Formula, names: set[str]) -> bool:
-    """True iff f is a nested expression; adds f's atoms to names on the way.
+def _nested_walk(f: Formula) -> bool:
+    """True iff f is a nested expression, by walking it.
 
-    Walks the subtrees left to right and stops at the first implication
-    that is not a negation, or raises TypeError at the first non-formula.
+    For trees without bits: walks the subtrees left to right and stops at
+    the first implication that is not a negation, or raises TypeError at
+    the first non-formula.
     """
     stack = [f]
     while stack:
@@ -324,24 +386,19 @@ def _nested_atoms(f: Formula, names: set[str]) -> bool:
         if kind is And or kind is Or:
             stack.append(node.right)
             stack.append(node.left)
-        elif kind is Atom:
-            names.add(node.name)
         elif kind is Implies:
             if type(node.consequent) is not Bottom:
                 return False
-            antecedent = node.antecedent
-            if type(antecedent) is Atom:  # a literal ~a
-                names.add(antecedent.name)
-            else:
-                stack.append(antecedent)
-        elif kind is not Bottom:
+            stack.append(node.antecedent)
+        elif kind is not Atom and kind is not Bottom:
             raise TypeError(f"not a formula: {node!r}")
     return True
 
 
 def is_nested_expression(f: Formula) -> bool:
     """True iff every implication inside f is a negation (or top)."""
-    return _nested_atoms(f, set())
+    bits = getattr(f, "_bits", None)
+    return _nested_walk(f) if bits is None else not bits & 1
 
 
 def is_literal(f: Formula) -> bool:
@@ -355,16 +412,17 @@ def is_literal(f: Formula) -> bool:
     )
 
 
-def _is_literal_conjunction(f: Formula) -> bool:
-    if type(f) is And:
-        return _is_literal_conjunction(f.left) and _is_literal_conjunction(f.right)
-    return is_literal(f)
-
-
-def _is_literal_disjunction(f: Formula) -> bool:
-    if type(f) is Or:
-        return _is_literal_disjunction(f.left) and _is_literal_disjunction(f.right)
-    return is_literal(f)
+def _is_literal_chain(f: Formula, kind: type) -> bool:
+    """True iff f is a tree of kind (And or Or) nodes over literals."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif not is_literal(node):
+            return False
+    return True
 
 
 def _split_rule(f: Formula) -> tuple[Formula, Formula] | None:
@@ -401,37 +459,35 @@ def is_nonnested_rule(f: Formula) -> bool:
     if split is None:
         return False
     body, head = split
-    body_ok = _is_top(body) or _is_literal_conjunction(body)
-    head_ok = type(head) is Bottom or _is_literal_disjunction(head)
+    body_ok = _is_top(body) or _is_literal_chain(body, And)
+    head_ok = type(head) is Bottom or _is_literal_chain(head, Or)
     return body_ok and head_ok
-
-
-@lru_cache(maxsize=1024)
-def _interned(names: frozenset[str]) -> frozenset[str]:
-    """One shared frozenset per set of atom names: rules repeat a few sets."""
-    return names
 
 
 class Rule(Value):
     """body -> head with both sides nested expressions.
 
-    The walk that checks the sides also collects their atoms, kept in
-    _atoms for Program's signature check; _atoms is not a field, so
-    equality, hashing, repr, copies and pickles ignore it.
+    The check ORs the sides' bits, and the result, whose set bits are the
+    rule's atoms, is kept in _atoms for Program's signature check; _atoms
+    is not a field, so equality, hashing, repr, copies and pickles ignore it.
     """
 
     __slots__ = ("body", "head", "_atoms")
     __match_args__ = ("body", "head")
 
     def __init__(self, body: Formula, head: Formula) -> None:
-        names: set[str] = set()
-        if not _nested_atoms(body, names):
-            raise ValueError(f"rule body is not a nested expression: {body!r}")
-        if not _nested_atoms(head, names):
-            raise ValueError(f"rule head is not a nested expression: {head!r}")
+        try:
+            bits = body._bits | head._bits
+        except (AttributeError, TypeError):  # a non-formula inside
+            bits = 1
+        if bits & 1:  # the walks tell which side fails, and how
+            if not _nested_walk(body):
+                raise ValueError(f"rule body is not a nested expression: {body!r}")
+            if not _nested_walk(head):
+                raise ValueError(f"rule head is not a nested expression: {head!r}")
         _set_body(self, body)
         _set_head(self, head)
-        _set_atoms(self, _interned(frozenset(names)))
+        _set_atoms(self, bits)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -462,12 +518,15 @@ _set_body, _set_head, _set_atoms = Rule.body.__set__, Rule.head.__set__, Rule._a
 
 
 def _rule_atoms(rules: tuple[Rule, ...]) -> set[str]:
-    """The atoms of the rules, from the sets their checks collected."""
+    """The atoms of the rules, from the bits their checks kept."""
+    bits = 0
     try:
-        return set().union(*{r._atoms for r in rules})
+        for r in rules:
+            bits |= r._atoms
     except AttributeError:  # only a non-rule lacks _atoms
         bad = next(r for r in rules if not isinstance(r, Rule))
         raise TypeError(f"not a rule: {bad!r}") from None
+    return _names(bits)
 
 
 class Program(Value):
@@ -489,7 +548,7 @@ class Program(Value):
         """The rules as formulas, over the program's signature.
 
         A rule's formula has the rule's atoms, so the signature is checked
-        against the sets the rules' checks collected, not by a new walk.
+        against the bits the rules' checks kept, not by a new walk.
         """
         theory = object.__new__(Theory)
         object.__setattr__(theory, "formulas", tuple(r.to_formula() for r in self.rules))

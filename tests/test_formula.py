@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -27,6 +29,8 @@ from htlp import (
     Theory,
     TraceStep,
     atoms_of,
+    conj,
+    disj,
     is_nested_expression,
     is_nonnested_rule,
     is_rule,
@@ -37,6 +41,8 @@ from htlp import (
     rule_to_text,
     to_text,
 )
+from htlp import formula
+from htlp.formula import _names
 from htlp.parser import Token
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -211,6 +217,17 @@ class TestClassifiers:
         assert is_nonnested_rule(parse("bot"))
         assert not is_nonnested_rule(parse("(p | q) -> r"))
 
+    def test_nonnested_checks_walk_long_chains_without_recursion(self):
+        atoms = [Atom(f"x{i}") for i in range(3000)]
+        rule = Rule(conj(atoms), Atom("y"))
+        assert rule.is_nonnested()
+        assert Program((rule,)).is_nonnested()
+        assert is_nonnested_rule(rule.to_formula())
+        assert Rule(Atom("y"), disj(atoms)).is_nonnested()
+        # A nested item at the far end of either chain is still found.
+        assert not Rule(conj([neg(neg(p))] + atoms), q).is_nonnested()
+        assert not Rule(p, disj([And(p, q)] + atoms)).is_nonnested()
+
     def test_classifier_chain(self, corpus_depth3):
         for f in corpus_depth3:
             if is_nonnested_rule(f):
@@ -237,10 +254,13 @@ class TestRuleAndProgram:
             Rule(And(p, None), q)
 
     def test_rule_atoms_are_collected_and_interned(self):
+        # _atoms is the OR of the sides' bits: one int per set of atoms.
         rule = Rule(And(p, neg(q)), Or(r, neg(neg(p))))
-        assert rule._atoms == {"p", "q", "r"}
-        assert Rule(neg(r), Or(q, p))._atoms is rule._atoms
-        assert Rule(TOP, BOT)._atoms == frozenset()
+        assert _names(rule._atoms) == {"p", "q", "r"}
+        assert rule._atoms == rule.body._bits | rule.head._bits
+        assert not rule._atoms & 1
+        assert Rule(neg(r), Or(q, p))._atoms == rule._atoms
+        assert Rule(TOP, BOT)._atoms == 0
 
     def test_rule_copies_and_pickles_keep_the_atoms(self):
         rule = Rule(And(p, neg(q)), Or(r, neg(r)))
@@ -436,3 +456,60 @@ class TestNodeValues:
     def test_atom_name_still_checked(self):
         with pytest.raises(ValueError, match="invalid atom name"):
             Atom("1x")
+
+
+class _YieldingList(list):
+    """A list whose append lets other threads run just after it."""
+
+    def append(self, item):
+        super().append(item)
+        time.sleep(0)
+
+
+class TestNodeBits:
+    def test_bits_hold_the_atoms_and_nestedness(self):
+        f = And(p, Or(neg(q), Implies(r, p)))
+        assert _names(f._bits) == {"p", "q", "r"}
+        assert f._bits & 1 and not f.left._bits & 1 and not f.right.left._bits & 1
+        assert BOT._bits == 0 and TOP._bits == 0
+        assert p._bits & (p._bits - 1) == 0  # one bit per atom name
+
+    def test_new_names_from_several_threads_get_their_own_bits(self):
+        start = threading.Barrier(4)
+        built: list[list[Atom]] = [[] for _ in range(4)]
+
+        def build(k: int) -> None:
+            start.wait()
+            built[k].extend(Atom(f"thread{k}_atom{i}") for i in range(300))
+
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        # A thread seldom loses the interpreter lock between the index's
+        # append and its read of the length; this list makes it lose it
+        # there every time, so registering without the lock would hand
+        # two names the same bit.
+        indexed = formula._INDEXED
+        slow = formula._INDEXED = _YieldingList(indexed)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            indexed.extend(slow[len(indexed):])
+            formula._INDEXED = indexed
+        assert not any(thread.is_alive() for thread in threads)
+        atoms = [a for group in built for a in group]
+        assert len(atoms) == 1200
+        assert len({a._bits for a in atoms}) == 1200
+        for a in atoms:
+            assert list(atoms_of(a)) == [a.name]
+
+    def test_deep_negation_chains_are_checked_without_walking(self):
+        chain = p
+        for _ in range(5000):
+            chain = neg(chain)
+        assert is_nested_expression(chain)
+        assert Rule(TOP, chain).head is chain
+        assert list(atoms_of(chain)) == ["p"]
+        assert list(Theory((chain,)).signature) == ["p"]
+        assert not is_nested_expression(Implies(chain, q))

@@ -53,7 +53,7 @@ from htlp import (
     theory_to_program_syn,
     to_text,
 )
-from htlp.formula import _is_top
+from htlp.formula import _is_top, _names
 from htlp.rewriting import (
     RewriteTrace,
     _Run,
@@ -269,7 +269,8 @@ def test_builders_equal_the_reference(m):
     built, expected = build_rule(m), countermodel_reference.build_rule(m)
     assert built == expected and built.source is m
     assert rule_to_text(built.rule) == rule_to_text(expected.rule)
-    assert built.rule._atoms == expected.rule._atoms == m.over.names
+    assert built.rule._atoms == expected.rule._atoms
+    assert _names(built.rule._atoms) == m.over.names
     built, expected = build_clause(m), countermodel_reference.build_clause(m)
     assert built == expected and built.source is m
     assert to_text(built.clause) == to_text(expected.clause)
@@ -545,18 +546,48 @@ def error(fn, *args):
     return None
 
 
+def assert_bits_match_the_reference(f):
+    """f's node bits decode to the reference's atoms and nestedness; a tree
+    with a non-formula in it, which the reference refuses, has none."""
+    bits = getattr(f, "_bits", None)
+    atoms = outcome(formula_reference.atoms_of, f)
+    if isinstance(atoms, str):
+        assert bits is None
+    else:
+        assert _names(bits) == atoms.names
+        assert (not bits & 1) == formula_reference.is_nested_expression(f)
+
+
 @fixed
 @given(formulas | malformed)
 def test_nested_expression_matches_the_recursive_walk(f):
     assert outcome(is_nested_expression, f) == outcome(
         formula_reference.is_nested_expression, f
     )
+    assert_bits_match_the_reference(f)
 
 
 @fixed
 @given(st.lists(formulas | malformed, max_size=3))
 def test_atoms_of_matches_the_reference_walk(fs):
     assert outcome(atoms_of, *fs) == outcome(formula_reference.atoms_of, *fs)
+    for f in fs:
+        assert_bits_match_the_reference(f)
+
+
+def assert_rule_atoms_match_the_reference(program):
+    for rule in program:
+        assert _names(rule._atoms) == formula_reference.atoms_of(rule.body, rule.head).names
+        assert not rule._atoms & 1
+
+
+@fixed
+@given(raw_size_at_most(64))
+def test_built_rules_keep_the_reference_atoms_of_their_sides(f):
+    assert_rule_atoms_match_the_reference(formula_to_program_syn(f))
+    assert_rule_atoms_match_the_reference(formula_to_program_syn(f, simplify=True))
+    for mode in ("whole", "per_formula"):
+        assert_rule_atoms_match_the_reference(theory_to_program_cm(Theory((f,)), mode))
 
 
 @fixed
