@@ -33,8 +33,11 @@ The optional simplifier cleans rules up without ever changing the model
 set: constant folding, the weak De Morgan laws, splitting disjunctive
 bodies, propagating body literals into the head, and dropping rules that
 an enumeration over their own atoms proves tautological.  Its normalizer
-is one bottom-up pass that combines parts already normalized, without
-normalizing a rewritten subtree again.  A simplified translation counts
+is one bottom-up pass that combines parts already normalized, with a
+memo per run, so a subtree that rules share is normalized once.  Every
+rule the simplifier emits has normalized sides, so Lemma 1 builds its
+sides normalized from them; only simplify()'s input and the distributed
+rules of a disjunction are normalized.  A simplified translation counts
 the rules its Lemma 1 and distribution steps build and the body
 branches the simplifier expands, and raises RuleBudgetExceededError past
 SIMPLIFY_RULE_BUDGET.
@@ -156,7 +159,7 @@ class RuleBudgetExceededError(Exception):
 class _Run:
     """The trace, cap and rule budget of one translation; limit None is raw."""
 
-    __slots__ = ("trace", "cap", "limit", "spent")
+    __slots__ = ("trace", "cap", "limit", "spent", "memo")
 
     def __init__(
         self, trace: RewriteTrace | None, cap: int, limit: int | None = None
@@ -165,6 +168,8 @@ class _Run:
         self.cap = cap
         self.limit = limit
         self.spent = 0
+        # id(node) -> (node, normal form); holding node keeps its id unique.
+        self.memo: dict[int, tuple[Formula, Formula]] = {}
 
     @classmethod
     def start(
@@ -214,23 +219,33 @@ def _implication(
                     for r in rules2
                 ),
             )
-        out: list[Rule] = []
-        for r in rules2:
-            first = Rule(And(r.body, Or(antecedent.head, neg(antecedent.body))), r.head)
-            second = Rule(r.body, Or(Or(r.head, antecedent.body), neg(antecedent.head)))
-            if trace is not None:
-                trace.record(
-                    "lemma1",
-                    Implies(antecedent.to_formula(), r.to_formula()),
-                    And(first.to_formula(), second.to_formula()),
-                )
-            out.append(first)
-            out.append(second)
+        b, h = antecedent.body, antecedent.head
+        # Lemma 1's rules as built: the raw output, and what the trace shows.
+        built: list[Rule | None] = []
+        if run.limit is None or trace is not None:
+            for r in rules2:
+                first = Rule(And(r.body, Or(h, neg(b))), r.head)
+                second = Rule(r.body, Or(Or(r.head, b), neg(h)))
+                if trace is not None:
+                    trace.record(
+                        "lemma1",
+                        Implies(antecedent.to_formula(), r.to_formula()),
+                        And(first.to_formula(), second.to_formula()),
+                    )
+                built += (first, second)
         if run.limit is None:
-            return tuple(out)
-        # Cleaning up right away keeps the antecedent rule count small
-        # through the currying recursion; raw growth is exponential.
-        return _simplify_rules(tuple(out), run)
+            return tuple(built)
+        built = built or [None] * (2 * len(rules2))
+        # Every rule here has normalized sides, so Lemma 1's sides are built
+        # normalized from them, not normalized again.  Cleaning up right
+        # away keeps the antecedent rule count small through the currying
+        # recursion; raw growth is exponential.
+        g_or_not_f, not_g = _or(h, _not(b)), _not(h)
+        out: list[Rule] = []
+        for r, first, second in zip(rules2, built[::2], built[1::2]):
+            out += _simplify_sides(first, _and(r.body, g_or_not_f), r.head, run)
+            out += _simplify_sides(second, r.body, _or(_or(r.head, b), not_g), run)
+        return _deduped(out, run)
     # Balanced split keeps the recursion depth logarithmic.
     half = len(rules1) // 2
     outer, inner = rules1[:half], rules1[half:]
@@ -418,7 +433,11 @@ def theory_to_program_syn(
 # _and, _or and _not take parts that are already normalized and give the
 # normalized result, so _normalize is one bottom-up pass.  On nested
 # expressions (rule sides) _normalize is idempotent, so this equals
-# normalizing each De Morgan rewrite again.
+# normalizing each De Morgan rewrite again.  A normalized side is top or
+# bot only as a whole.  The run's memo maps id(node) to (node, result) for
+# the nodes _normalize has met: the rules of simplify()'s input and of
+# _disjunction.  Lemma 1's rules arrive with sides that _and, _or and _not
+# built from normalized ones, and are not normalized again.
 
 def _and(left: Formula, right: Formula) -> Formula:
     if type(left) is Bottom or type(right) is Bottom:
@@ -458,31 +477,44 @@ def _not(f: Formula) -> Formula:
     return Implies(f, BOT)  # not neg(f): one frame less on deep negations
 
 
-def _normalize(f: Formula) -> Formula:
+def _normalize(f: Formula, memo: dict[int, tuple[Formula, Formula]]) -> Formula:
     """Constant folding, weak De Morgan, and triple-negation collapse.
 
     Double negations are kept: ~~F is not equivalent to F here.  f is
     meant to be a nested expression; an implication with another
-    consequent keeps its shape and is not folded into a negation.
+    consequent keeps its shape and is not folded into a negation.  memo
+    holds the results by node identity, so a shared subtree is
+    normalized once.
     """
     kind = type(f)
     if kind is Atom or kind is Bottom:
         return f
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
     if kind is And:
-        return _and(_normalize(f.left), _normalize(f.right))
-    if kind is Or:
-        return _or(_normalize(f.left), _normalize(f.right))
-    if kind is Implies:
-        if type(f.consequent) is Bottom:
-            return _not(_normalize(f.antecedent))
+        out = _and(_normalize(f.left, memo), _normalize(f.right, memo))
+    elif kind is Or:
+        out = _or(_normalize(f.left, memo), _normalize(f.right, memo))
+    elif kind is not Implies:
+        raise TypeError(f"not a formula: {f!r}")
+    elif type(f.consequent) is Bottom:
+        out = _not(_normalize(f.antecedent, memo))
+    else:
         # Implications with a non-bot consequent occur only at the rule
         # level, never inside nested expressions.
-        return Implies(_normalize(f.antecedent), _normalize(f.consequent))
-    raise TypeError(f"not a formula: {f!r}")
+        out = Implies(_normalize(f.antecedent, memo), _normalize(f.consequent, memo))
+    memo[id(f)] = (f, out)
+    return out
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
-    """The conjuncts of f left to right, without top."""
+    """The conjuncts of f left to right; [] for top.
+
+    f is normalized, so top can only be the whole of it.
+    """
+    if _is_top(f):
+        return []
     out: list[Formula] = []
     stack = [f]
     while stack:
@@ -490,7 +522,7 @@ def _flatten_and(f: Formula) -> list[Formula]:
         if type(node) is And:
             stack.append(node.right)
             stack.append(node.left)
-        elif not _is_top(node):
+        else:
             out.append(node)
     return out
 
@@ -539,13 +571,12 @@ def _simplify_head(units: list[Formula], head: Formula, run: _Run) -> Rule | Non
     """The cleaned-up rule for one body branch, None when tautological."""
     unit_set = set(units)
     kept: list[Formula] = []
-    trigger = False
     for d in _flatten_or(head):
         replacement = _propagate_units(d, unit_set)
         if replacement is None:
             continue
         if _is_top(replacement) or replacement in unit_set:
-            trigger = True
+            return None  # a head disjunct that is top or a body unit
         kept.append(replacement)
     kept = list(dict.fromkeys(kept))
     head_pos = {d.name for d in kept if type(d) is Atom}
@@ -554,10 +585,8 @@ def _simplify_head(units: list[Formula], head: Formula, run: _Run) -> Rule | Non
         for d in kept
         if _is_negation(d) and type(d.antecedent) is Atom
     }
-    if head_pos & head_negs:
-        trigger = True
     rule = Rule(conj(units), disj(kept))
-    if trigger:
+    if head_pos & head_negs:
         try:
             if ht_valid(rule.to_formula(), run.cap):
                 return None
@@ -567,8 +596,14 @@ def _simplify_head(units: list[Formula], head: Formula, run: _Run) -> Rule | Non
 
 
 def _simplify_rule(r: Rule, run: _Run) -> list[Rule]:
-    body = _normalize(r.body)
-    head = _normalize(r.head)
+    memo = run.memo
+    return _simplify_sides(r, _normalize(r.body, memo), _normalize(r.head, memo), run)
+
+
+def _simplify_sides(
+    r: Rule | None, body: Formula, head: Formula, run: _Run
+) -> list[Rule]:
+    """The cleaned-up rules of r, given its normalized sides; r is for the trace."""
     results: list[Rule] = []
     if type(body) is not Bottom and not _is_top(head):
         choices = [_flatten_or(factor) for factor in _flatten_and(body)]
@@ -588,9 +623,10 @@ def _simplify_rule(r: Rule, run: _Run) -> list[Rule]:
 
 
 def _simplify_rules(rules: tuple[Rule, ...], run: _Run) -> tuple[Rule, ...]:
-    out: list[Rule] = []
-    for r in rules:
-        out.extend(_simplify_rule(r, run))
+    return _deduped([c for r in rules for c in _simplify_rule(r, run)], run)
+
+
+def _deduped(out: list[Rule], run: _Run) -> tuple[Rule, ...]:
     deduped = tuple(dict.fromkeys(out))
     if run.trace is not None and len(deduped) != len(out):
         run.trace.record("simplify-dedup", _rules_formula(out), _rules_formula(deduped))

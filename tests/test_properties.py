@@ -15,6 +15,7 @@ import ht_reference as ref
 import rewriting_reference
 from htlp import (
     BOT,
+    DEFAULT_CAP,
     TOP,
     And,
     Atom,
@@ -464,6 +465,37 @@ def test_simplified_translation_of_an_eliminated_formula(f):
     assert staged.signature == direct.signature
 
 
+def assert_normalized_sides(program):
+    # Lemma 1 builds its sides with _and, _or and _not from the rules the
+    # simplified path emits, instead of normalizing them again.
+    for rule in program:
+        for side in (rule.body, rule.head):
+            assert _normalize(side, {}) == side
+
+
+@fixed
+@given(theories(formula=raw_size_at_most(4096)))
+def test_simplified_translation_emits_normalized_sides(t):
+    assert_normalized_sides(theory_to_program_syn(t, simplify=True))
+
+
+@fixed
+@given(raw_size_at_most(4096))
+def test_simplify_of_a_raw_program_emits_normalized_sides(f):
+    assert_normalized_sides(simplify(formula_to_program_syn(f)))
+
+
+@fixed
+@given(raw_size_at_most(256))
+def test_memoized_normalize_matches_the_reference_on_raw_programs(f):
+    # Raw Lemma 1 rules share their subtrees, and simplify() normalizes a
+    # whole program with one memo.
+    memo = {}
+    for rule in formula_to_program_syn(f):
+        for side in (rule.body, rule.head):
+            assert _normalize(side, memo) == rewriting_reference.normalize(side)
+
+
 # Atoms often, so that the identities' schemata themselves are drawn.
 sides = st.sampled_from(ATOMS).map(Atom) | nested
 bodies = st.just(TOP) | sides
@@ -503,6 +535,16 @@ def test_disjunction_of_two_programs(rules1, rules2):
     assert run.spent >= 4 * len(rules1) * len(rules2)
     got, expected = disjunction_models(rules1, rules2, rules)
     assert got == expected
+
+
+@fixed
+@given(st.lists(st.builds(Rule, bodies, sides), max_size=3),
+       st.sampled_from((0, 2, DEFAULT_CAP)))
+@example([Rule(And(Atom("a"), Atom("b")), Or(Atom("c"), And(Atom("a"), Atom("b"))))], 2)
+def test_simplify_emits_normalized_sides_at_any_cap(rules, cap):
+    # Below a rule's atom count the validity check cannot run, so an
+    # obvious tautology must be dropped before it.
+    assert_normalized_sides(simplify(Program(tuple(rules)), cap=cap))
 
 
 @fixed
@@ -609,7 +651,7 @@ def test_is_top_is_equality_with_top(f):
 @example(neg(neg(neg(Atom("a")))))  # random draws seldom nest three negations
 @example(neg(And(Atom("a"), neg(neg(Or(Atom("b"), BOT))))))
 def test_normalize_matches_the_renormalizing_reference(f):
-    assert outcome(_normalize, f) == outcome(rewriting_reference.normalize, f)
+    assert outcome(_normalize, f, {}) == outcome(rewriting_reference.normalize, f)
 
 
 @fixed
@@ -618,7 +660,7 @@ def test_normalize_raises_where_the_reference_raises(f):
     # Off nested expressions the trees may differ: the reference normalizes
     # a negation again when it meets it under De Morgan, and a rule-level
     # implication such as a -> bot & bot leaves one unnormalized.
-    assert error(_normalize, f) == error(rewriting_reference.normalize, f)
+    assert error(_normalize, f, {}) == error(rewriting_reference.normalize, f)
 
 
 @fixed
@@ -626,15 +668,25 @@ def test_normalize_raises_where_the_reference_raises(f):
 def test_normalize_is_idempotent_on_nested_expressions(f):
     # What lets _normalize build over normalized parts instead of
     # normalizing each De Morgan rewrite again.
-    once = _normalize(f)
-    assert _normalize(once) == once
+    once = _normalize(f, {})
+    assert _normalize(once, {}) == once
 
 
 @fixed
 @given(formulas | malformed)
 def test_flattening_matches_the_recursive_reference(f):
-    assert _flatten_and(f) == rewriting_reference.flatten_and(f)
     assert _flatten_or(f) == rewriting_reference.flatten_or(f)
+
+
+@fixed
+@given(nested | formulas)
+@example(TOP)
+@example(And(TOP, Atom("a")))
+def test_conjunct_flattening_matches_the_reference_on_normalized_sides(f):
+    # _flatten_and looks for top at the root only: a normalized side is
+    # either top as a whole or holds no top conjunct.
+    side = _normalize(f, {})
+    assert _flatten_and(side) == rewriting_reference.flatten_and(side)
 
 
 @fixed

@@ -1,11 +1,13 @@
 """The syntactic transformation path and the simplifier."""
 
+import hashlib
 import random
 
 import pytest
 
 from htlp import (
     BOT,
+    DEFAULT_CAP,
     TOP,
     And,
     Atom,
@@ -17,6 +19,7 @@ from htlp import (
     RuleBudgetExceededError,
     Signature,
     Theory,
+    atoms_of,
     conj,
     disj,
     eliminate_connectives,
@@ -27,6 +30,7 @@ from htlp import (
     is_rule,
     neg,
     parse,
+    program_to_text,
     rule_to_text,
     simplify,
     theory_to_program_cm,
@@ -333,6 +337,15 @@ class TestSimplify:
         program = program_of("p & ~p -> q")
         assert len(simplify(program)) == 0
 
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, DEFAULT_CAP])
+    @pytest.mark.parametrize("head", [Or(r, And(p, q)), Or(r, p)], ids=["body", "unit"])
+    def test_head_holding_the_body_is_dropped_at_every_cap(self, cap, head):
+        # A head disjunct that is top or a body unit makes a tautology
+        # whatever the cap, also below the rule's three atoms, where
+        # ht_valid cannot check it.
+        program = Program((Rule(And(p, q), head),), atoms_of(p, q, r))
+        assert len(simplify(program, cap=cap)) == 0
+
     def test_classically_valid_head_is_kept_when_not_ht_valid(self):
         program = program_of("p | ~p")
         assert rules_text(simplify(program)) == ["p | ~p"]
@@ -354,6 +367,60 @@ class TestSimplify:
             assert ht_models(program.to_theory()) == ht_models(
                 cleaned.to_theory()
             )
+
+
+class TestByteIdentity:
+    """SHA-256 digests of the syntactic translation's outputs, so that a
+    change to the simplifier's internals keeps them byte-identical.
+
+    Per formula: the simplified program's text, the rules and branches its
+    run spent, its trace lines, and, within RAW_RULE_BUDGET, the text of
+    simplify() of the raw program; a budget error's message in place of a
+    program.
+    """
+
+    DIGESTS = {
+        "corpus_depth2": "695de1fa173cb6597fa28f39e878fb2681227e4b15ca819c5ef7cd6f07ab5200",
+        "corpus_depth3": "ee467ad09255803c5a06c6b2538d77c5e951e89155e5074ed1d34c063400295e",
+        "paper": "deea3f0329db77dcc72f40b73c8b1a9a2c6da6ddcc6b25df4485fc7ce3c962f2",
+    }
+
+    @staticmethod
+    def lines(f, runs):
+        yield f"FORMULA {to_text(f)}"
+        trace = RewriteTrace()
+        try:
+            yield program_to_text(formula_to_program_syn(f, True, trace))
+        except RuleBudgetExceededError as error:
+            yield f"simplified: {error}"
+        yield f"spent {runs[-1].spent}"
+        yield from trace.lines()
+        try:
+            raw = formula_to_program_syn(f)
+        except RuleBudgetExceededError as error:
+            yield f"raw: {error}"
+        else:
+            yield program_to_text(simplify(raw))
+
+    @pytest.mark.parametrize("corpus", sorted(DIGESTS))
+    def test_outputs_match_the_pinned_digest(self, request, monkeypatch, corpus):
+        if corpus == "paper":
+            formulas = [parse("(q -> p) | r"), parse("((a|b)->(c|d))->((b|c)->(d|a))")]
+        else:
+            formulas = request.getfixturevalue(corpus)
+        runs = []
+        start = rewriting._Run.start.__func__
+
+        def recording_start(cls, *args):
+            runs.append(start(cls, *args))
+            return runs[-1]
+
+        monkeypatch.setattr(rewriting._Run, "start", classmethod(recording_start))
+        digest = hashlib.sha256()
+        for f in formulas:
+            for line in self.lines(f, runs):
+                digest.update(line.encode("utf-8") + b"\n")
+        assert digest.hexdigest() == self.DIGESTS[corpus]
 
 
 class TestTrace:
