@@ -265,7 +265,7 @@ def _cmd_to_program(args: argparse.Namespace) -> int:
             "method": args.method,
             "mode": args.mode if args.method == "countermodel" else "per_formula",
             "rule_count": len(program),
-            "rules": [line for line in program_to_text(program).splitlines()],
+            "rules": program_to_text(program).splitlines(),
         }, verification)
     else:
         text = program_to_text(program)

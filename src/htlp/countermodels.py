@@ -218,9 +218,10 @@ def theory_to_program_cm(
 def theory_to_dnf_clauses(t: Theory, cap: int = DEFAULT_CAP) -> tuple[DnfClause, ...]:
     """One clause per model of t, in canonical model order."""
     space, lits, memo = _Space(t.signature, cap), _literal_table(t.signature.atoms), {}
-    models = space.theory(t)
-    return tuple([DnfClause(m, _build(lits, memo, x, y, True))
-                  for (x, y), m in zip(space.pairs(models), space.members(models))])
+    names, sig = space.names, t.signature
+    return tuple([DnfClause(HtInterpretation(names[x], names[y], sig),
+                            _build(lits, memo, x, y, True))
+                  for x, y in space.pairs(space.theory(t))])
 
 
 def theory_to_dnf(t: Theory, cap: int = DEFAULT_CAP) -> Formula:

@@ -14,9 +14,10 @@ count as rules with body top.
 
 Nodes, signatures, rules, theories and programs are immutable values
 (Value), compared and hashed by their fields.  Every constructor checks,
-and copies and pickles are rebuilt through the constructors.  The walks
-dispatch on the exact node type, so the node kinds are not meant to be
-subclassed.
+and copies and pickles are rebuilt through the constructors: the node
+kinds refuse non-formula children, so every tree is well formed.  The
+walks dispatch on the exact node type, so the node kinds are not meant to
+be subclassed.
 
 Every node also keeps one private int, _bits, which its constructor
 computes from its children's: bit 0 is set when the node is not a nested
@@ -24,10 +25,8 @@ expression, and bit i + 1 when the i-th name of a process-wide atom index
 (numbered in first-seen order) occurs in it.  So the rule checks,
 atoms_of and the signature checks of Theory and Program OR ints instead
 of walking trees.  It costs 8 bytes per node, plus one bit per distinct
-atom name the process has built.  A node with a non-formula below it
-keeps None, and the walks run on it to name the error.  _bits is not a
-field, so hash, == and repr ignore it, and they still recurse through
-the tree.
+atom name the process has built.  _bits is not a field, so hash, ==
+and repr ignore it, and they still recurse through the tree.
 """
 
 from __future__ import annotations
@@ -51,13 +50,14 @@ class Value:
 
     Instances are equal and hashed by their fields, as frozen dataclasses
     are; assignment and deletion raise dataclasses.FrozenInstanceError;
-    copies and pickles go back through the constructor.  Subclasses
-    declare __slots__ and, since their own __setattr__ raises, set their
-    fields in __init__ with object.__setattr__, or where construction is
-    hot with the slot descriptors' __set__.  The node kinds and Rule spell
-    __eq__ and __hash__ out over their fields: trees are hashed and
-    compared node by node, where the generic methods cost about twice as
-    much.
+    copies and pickles go back through the constructor, so its checks hold
+    for every instance: the node kinds refuse a non-formula child with
+    TypeError.  Subclasses declare __slots__ and, since their own
+    __setattr__ raises, set their fields in __init__ with
+    object.__setattr__, or where construction is hot with the slot
+    descriptors' __set__.  The node kinds and Rule spell __eq__ and
+    __hash__ out over their fields: trees are hashed and compared node by
+    node, where the generic methods cost about twice as much.
     """
 
     __slots__ = ()
@@ -98,15 +98,14 @@ class Formula(Value):
     __slots__ = ("_bits",)
 
     def __repr__(self) -> str:
-        try:
-            return to_text(self)
-        except TypeError:  # a malformed tree, such as Implies(BOT, None)
-            return Value.__repr__(self)
+        return to_text(self)
 
 
 class Bottom(Formula):
     __slots__ = ()
-    _bits = 0  # no atoms, and nested: the same for every instance
+
+    def __init__(self) -> None:
+        _set_bits(self, 0)  # no atoms, and nested
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -149,8 +148,8 @@ class _Binary(Formula):
         _set_right(self, right)
         try:
             _set_bits(self, left._bits | right._bits)
-        except (AttributeError, TypeError):  # a non-formula below
-            _set_bits(self, None)
+        except (AttributeError, TypeError):
+            raise _not_a_formula(left, right) from None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -177,8 +176,8 @@ class Implies(Formula):
         _set_consequent(self, consequent)
         try:  # a nested expression only when a negation
             bits = antecedent._bits | consequent._bits | (type(consequent) is not Bottom)
-        except (AttributeError, TypeError):  # a non-formula below
-            bits = None
+        except (AttributeError, TypeError):
+            raise _not_a_formula(antecedent, consequent) from None
         _set_bits(self, bits)
 
     def __eq__(self, other: object) -> bool:
@@ -210,6 +209,12 @@ def _index_atom(name: str) -> int:
             _INDEXED.append(name)
             bit = _ATOM_BITS[name] = 1 << len(_INDEXED)
         return bit
+
+
+def _not_a_formula(*values: object) -> TypeError:
+    """The error naming the first of values that has no node's int bits."""
+    bad = next(v for v in values if type(getattr(v, "_bits", None)) is not int)
+    return TypeError(f"not a formula: {bad!r}")
 
 
 def _names(bits: int) -> set[str]:
@@ -248,18 +253,20 @@ def iff(f: Formula, g: Formula) -> Formula:
 
 def conj(parts: Iterable[Formula]) -> Formula:
     """Left-associated conjunction; the empty conjunction is top."""
-    acc: Formula | None = None
+    parts = iter(parts)
+    acc = next(parts, TOP)
     for part in parts:
-        acc = part if acc is None else And(acc, part)
-    return TOP if acc is None else acc
+        acc = And(acc, part)
+    return acc
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Left-associated disjunction; the empty disjunction is bot."""
-    acc: Formula | None = None
+    parts = iter(parts)
+    acc = next(parts, BOT)
     for part in parts:
-        acc = part if acc is None else Or(acc, part)
-    return BOT if acc is None else acc
+        acc = Or(acc, part)
+    return acc
 
 
 class Signature(Value):
@@ -310,32 +317,15 @@ def atoms_of(*formulas: Formula) -> Signature:
 
 
 def _atom_names(formulas: tuple[Formula, ...]) -> set[str]:
-    """The atoms of the formulas, from their nodes' bits."""
+    """The atoms of the formulas, from their nodes' bits; a non-formula
+    among them is refused, the last one first."""
     bits = 0
-    for f in formulas:
-        f_bits = getattr(f, "_bits", None)
-        if f_bits is None:
-            _refuse_non_formulas(formulas)
-        bits |= f_bits
+    try:
+        for f in formulas:
+            bits |= f._bits
+    except (AttributeError, TypeError):
+        raise _not_a_formula(*formulas[::-1]) from None
     return _names(bits)
-
-
-def _refuse_non_formulas(formulas: tuple[Formula, ...]) -> None:
-    """Raise TypeError at the first non-formula among or inside the
-    formulas that a depth-first walk meets, last formula and right
-    operand first."""
-    stack = list(formulas)
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is And or kind is Or:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif kind is Implies:
-            stack.append(node.antecedent)
-            stack.append(node.consequent)
-        elif kind is not Atom and kind is not Bottom:
-            raise TypeError(f"not a formula: {node!r}")
 
 
 def _covering(signature: Signature | None, occurring: set[str]) -> Signature:
@@ -372,33 +362,12 @@ class Theory(Value):
 
 # --- syntactic classes -------------------------------------------------
 
-def _nested_walk(f: Formula) -> bool:
-    """True iff f is a nested expression, by walking it.
-
-    For trees without bits: walks the subtrees left to right and stops at
-    the first implication that is not a negation, or raises TypeError at
-    the first non-formula.
-    """
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is And or kind is Or:
-            stack.append(node.right)
-            stack.append(node.left)
-        elif kind is Implies:
-            if type(node.consequent) is not Bottom:
-                return False
-            stack.append(node.antecedent)
-        elif kind is not Atom and kind is not Bottom:
-            raise TypeError(f"not a formula: {node!r}")
-    return True
-
-
 def is_nested_expression(f: Formula) -> bool:
     """True iff every implication inside f is a negation (or top)."""
-    bits = getattr(f, "_bits", None)
-    return _nested_walk(f) if bits is None else not bits & 1
+    try:
+        return not f._bits & 1
+    except (AttributeError, TypeError):
+        raise _not_a_formula(f) from None
 
 
 def is_literal(f: Formula) -> bool:
@@ -478,13 +447,12 @@ class Rule(Value):
     def __init__(self, body: Formula, head: Formula) -> None:
         try:
             bits = body._bits | head._bits
-        except (AttributeError, TypeError):  # a non-formula inside
+        except (AttributeError, TypeError):  # a non-formula side
             bits = 1
-        if bits & 1:  # the walks tell which side fails, and how
-            if not _nested_walk(body):
-                raise ValueError(f"rule body is not a nested expression: {body!r}")
-            if not _nested_walk(head):
-                raise ValueError(f"rule head is not a nested expression: {head!r}")
+        if bits & 1:  # say which side fails, and how: the body first
+            for side, f in (("body", body), ("head", head)):
+                if not is_nested_expression(f):
+                    raise ValueError(f"rule {side} is not a nested expression: {f!r}")
         _set_body(self, body)
         _set_head(self, head)
         _set_atoms(self, bits)

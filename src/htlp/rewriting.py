@@ -384,17 +384,18 @@ def estimated_rule_count(f: Formula) -> int:
     disjunctions and never computes a number beyond the ceiling squared,
     so it is cheap even where the construction is infeasible.
     """
-    if isinstance(f, (Atom, Bottom)):
+    kind = type(f)
+    if kind is Atom or kind is Bottom:
         return 1
-    if isinstance(f, Implies):
+    if kind is Implies:
         return _saturated_implication(
             estimated_rule_count(f.antecedent), estimated_rule_count(f.consequent)
         )
-    if isinstance(f, And):
+    if kind is And:
         return min(
             RULE_COUNT_CEILING, estimated_rule_count(f.left) + estimated_rule_count(f.right)
         )
-    if isinstance(f, Or):
+    if kind is Or:
         left, right = estimated_rule_count(f.left), estimated_rule_count(f.right)
         return min(
             RULE_COUNT_CEILING,

@@ -119,6 +119,7 @@ def _tables(f: Formula, space: _Space) -> _Tables:
     todo: list = [f]
     while todo:
         node = todo.pop()
+        kind = type(node)
         if node is And or node is Or or node is Implies:  # its operands are done
             g_here, g_there = values.pop()
             f_here, f_there = values.pop()
@@ -129,13 +130,13 @@ def _tables(f: Formula, space: _Space) -> _Tables:
             else:
                 there = (~f_there | g_there) & full
                 values.append((there & (~f_here | g_here), there))
-        elif isinstance(node, Atom):
+        elif kind is Atom:
             values.append(atom(node.name))
-        elif isinstance(node, Implies):
+        elif kind is Implies:
             todo += (Implies, node.consequent, node.antecedent)
-        elif isinstance(node, (And, Or)):
-            todo += (And if isinstance(node, And) else Or, node.right, node.left)
-        elif isinstance(node, Bottom):
+        elif kind is And or kind is Or:
+            todo += (kind, node.right, node.left)
+        elif kind is Bottom:
             values.append((0, 0))
         else:
             raise TypeError(f"not a formula: {node!r}")

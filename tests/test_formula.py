@@ -252,6 +252,11 @@ class TestRuleAndProgram:
             Rule(p, And(neg(q), Implies(q, p)))
         with pytest.raises(TypeError, match="not a formula: None"):
             Rule(And(p, None), q)
+        # The body is checked first: a non-nested body is named before a
+        # non-nested or non-formula head.
+        for head in (Implies(q, p), None):
+            with pytest.raises(ValueError, match=body):
+                Rule(Implies(q, p), head)
 
     def test_rule_atoms_are_collected_and_interned(self):
         # _atoms is the OR of the sides' bits: one int per set of atoms.
@@ -447,11 +452,14 @@ class TestNodeValues:
         assert ProgramCount(2, 162) != ProgramCount(2, 163)
         assert EquivalenceResult(True) == EquivalenceResult(equivalent=True, witness=None)
 
-    def test_malformed_trees_repr_in_constructor_form(self):
-        assert repr(Implies(BOT, None)) == "Implies(antecedent=bot, consequent=None)"
-        assert repr(And(Atom("a"), Or(None, BOT))) == (
-            "And(left=a, right=Or(left=None, right=bot))"
-        )
+    def test_trees_with_a_non_formula_cannot_be_built(self):
+        with pytest.raises(TypeError, match=r"^not a formula: None$"):
+            Implies(BOT, None)
+        with pytest.raises(TypeError, match=r"^not a formula: None$"):
+            And(Atom("a"), Or(None, BOT))
+        # The class in place of its instance BOT is refused too.
+        with pytest.raises(TypeError, match=r"^not a formula: <class 'htlp.formula.Bottom'>$"):
+            Or(formula.Bottom, Atom("a"))
 
     def test_atom_name_still_checked(self):
         with pytest.raises(ValueError, match="invalid atom name"):

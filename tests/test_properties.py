@@ -42,6 +42,7 @@ from htlp import (
     ht_equivalent,
     ht_models,
     ht_valid,
+    iff,
     neg,
     parse,
     program_from_set,
@@ -85,8 +86,9 @@ def trees(leaves):
 
 formula_leaves = st.just(BOT) | st.sampled_from(ATOMS).map(Atom)
 formulas = trees(formula_leaves)
-# Trees with non-formula leaves, as a caller could build by mistake.
-malformed = trees(formula_leaves | st.sampled_from((None, 0, "a")))
+# Non-formulas, as a caller could pass by mistake.  The node constructors
+# refuse them as children, so only a top-level value can be one.
+malformed = st.sampled_from((None, 0, "a"))
 
 
 def nested_trees(leaves):
@@ -103,7 +105,6 @@ def nested_trees(leaves):
 
 
 nested = nested_trees(formula_leaves)
-malformed_nested = nested_trees(formula_leaves | st.sampled_from((None, 0, "a")))
 
 
 def raw_size_at_most(bound):
@@ -589,8 +590,8 @@ def error(fn, *args):
 
 
 def assert_bits_match_the_reference(f):
-    """f's node bits decode to the reference's atoms and nestedness; a tree
-    with a non-formula in it, which the reference refuses, has none."""
+    """f's node bits decode to the reference's atoms and nestedness; a
+    non-formula, which the reference refuses, has none."""
     bits = getattr(f, "_bits", None)
     atoms = outcome(formula_reference.atoms_of, f)
     if isinstance(atoms, str):
@@ -617,6 +618,22 @@ def test_atoms_of_matches_the_reference_walk(fs):
         assert_bits_match_the_reference(f)
 
 
+@fixed
+@given(formulas, nested, malformed, st.booleans())
+def test_a_non_formula_is_refused_where_it_enters(f, side, bad, bad_first):
+    # Rule gets a nested side, so that only the non-formula is wrong.
+    def pair(g):
+        return (bad, g) if bad_first else (g, bad)
+
+    message = f"TypeError: not a formula: {bad!r}"
+    assert outcome(neg, bad) == message
+    for build in (And, Or, Implies, iff, atoms_of):
+        assert outcome(build, *pair(f)) == message
+    assert outcome(Rule, *pair(side)) == message
+    for build in (conj, disj, Theory):
+        assert outcome(build, pair(f)) == message
+
+
 def assert_rule_atoms_match_the_reference(program):
     for rule in program:
         assert _names(rule._atoms) == formula_reference.atoms_of(rule.body, rule.head).names
@@ -641,13 +658,12 @@ def test_printer_matches_the_reference_printer(f):
 @fixed
 @given(formulas | malformed)
 @example(TOP)
-@example(Implies(BOT, None))
 def test_is_top_is_equality_with_top(f):
     assert _is_top(f) == (f == TOP)
 
 
 @fixed
-@given(nested | malformed_nested)
+@given(nested | malformed)
 @example(neg(neg(neg(Atom("a")))))  # random draws seldom nest three negations
 @example(neg(And(Atom("a"), neg(neg(Or(Atom("b"), BOT))))))
 def test_normalize_matches_the_renormalizing_reference(f):
