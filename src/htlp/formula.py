@@ -513,16 +513,8 @@ class Program(Value):
         return all(r.is_nonnested() for r in self.rules)
 
     def to_theory(self) -> Theory:
-        """The rules as formulas, over the program's signature.
-
-        A rule's formula has the rule's atoms, so the signature is checked
-        against the bits the rules' checks kept, not by a new walk.
-        """
-        theory = object.__new__(Theory)
-        object.__setattr__(theory, "formulas", tuple(r.to_formula() for r in self.rules))
-        signature = _covering(self.signature, _rule_atoms(self.rules))
-        object.__setattr__(theory, "signature", signature)
-        return theory
+        """The rules as formulas, over the program's signature."""
+        return Theory(tuple(r.to_formula() for r in self.rules), self.signature)
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -32,12 +32,15 @@ hold for nested B, H, C, G):
 The optional simplifier cleans rules up without ever changing the model
 set: constant folding, the weak De Morgan laws, splitting disjunctive
 bodies, propagating body literals into the head, and dropping rules that
-an enumeration over their own atoms proves tautological.  Its normalizer
-is one bottom-up pass that combines parts already normalized, with a
-memo per run, so a subtree that rules share is normalized once.  Every
-rule the simplifier emits has normalized sides, so Lemma 1 builds its
-sides normalized from them; only simplify()'s input and the distributed
-rules of a disjunction are normalized.  A simplified translation counts
+an enumeration over their own atoms proves tautological.  The unit
+tests of a body branch (u and ~u in the body, a head item the body
+makes false, a head holding a unit) look up its unit dict and the set
+of formulas its units negate.  Its normalizer is one bottom-up pass
+that combines parts already normalized, with a memo per run, so a
+subtree that rules share is normalized once.  Every rule the simplifier
+emits has normalized sides, so Lemma 1 builds its sides normalized from
+them; only simplify()'s input and the distributed rules of a
+disjunction are normalized.  A simplified translation counts
 the rules its Lemma 1 and distribution steps build and the body
 branches the simplifier expands, and raises RuleBudgetExceededError past
 SIMPLIFY_RULE_BUDGET.
@@ -384,25 +387,30 @@ def estimated_rule_count(f: Formula) -> int:
     disjunctions and never computes a number beyond the ceiling squared,
     so it is cheap even where the construction is infeasible.
     """
-    kind = type(f)
-    if kind is Atom or kind is Bottom:
-        return 1
-    if kind is Implies:
-        return _saturated_implication(
-            estimated_rule_count(f.antecedent), estimated_rule_count(f.consequent)
-        )
-    if kind is And:
-        return min(
-            RULE_COUNT_CEILING, estimated_rule_count(f.left) + estimated_rule_count(f.right)
-        )
-    if kind is Or:
-        left, right = estimated_rule_count(f.left), estimated_rule_count(f.right)
-        return min(
-            RULE_COUNT_CEILING,
-            _saturated_implication(_saturated_implication(left, right), right)
-            + _saturated_implication(_saturated_implication(right, left), left),
-        )
-    raise TypeError(f"not a formula: {f!r}")
+    values: list[int] = []
+    todo: list = [f]
+    while todo:  # postorder with an explicit stack: no recursion on depth
+        node = todo.pop()
+        kind = type(node)
+        if node is And or node is Or or node is Implies:  # its operands are done
+            right, left = values.pop(), values.pop()
+            if node is Implies:
+                count = _saturated_implication(left, right)
+            elif node is And:
+                count = left + right
+            else:
+                count = _saturated_implication(_saturated_implication(left, right), right)
+                count += _saturated_implication(_saturated_implication(right, left), left)
+            values.append(min(RULE_COUNT_CEILING, count))
+        elif kind is Atom or kind is Bottom:
+            values.append(1)
+        elif kind is Implies:
+            todo += (Implies, node.consequent, node.antecedent)
+        elif kind is And or kind is Or:
+            todo += (kind, node.right, node.left)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return values[0]
 
 
 def _saturated_implication(m: int, n: int) -> int:
@@ -438,7 +446,8 @@ def theory_to_program_syn(
 # bot only as a whole.  The run's memo maps id(node) to (node, result) for
 # the nodes _normalize has met: the rules of simplify()'s input and of
 # _disjunction.  Lemma 1's rules arrive with sides that _and, _or and _not
-# built from normalized ones, and are not normalized again.
+# built from normalized ones, and are not normalized again.  Unit tests
+# use the branch's unit dict and its negated set, and build no node.
 
 def _and(left: Formula, right: Formula) -> Formula:
     if type(left) is Bottom or type(right) is Bottom:
@@ -546,59 +555,39 @@ def _is_negation(f: Formula) -> bool:
     return type(f) is Implies and type(f.consequent) is Bottom
 
 
-def _propagate_units(
-    d: Formula, unit_set: set[Formula]
-) -> Formula | None:
-    """Rewrite one head disjunct under the body units, None when dead."""
-    if neg(d) in unit_set:
-        return None
-    if _is_negation(d) and d.antecedent in unit_set:
-        return None
-    if type(d) is And:
-        kept = []
-        for c in _flatten_and(d):
-            if c in unit_set:
-                continue
-            if neg(c) in unit_set:
-                return None
-            if _is_negation(c) and c.antecedent in unit_set:
-                return None
-            kept.append(c)
-        return conj(kept)  # TOP when everything was implied by the body
-    return d
+def _false_under(d: Formula, units: dict[Formula, None], negated: set[Formula]) -> bool:
+    """Whether the body units make d false: ~d or, for d = ~G, G is a unit."""
+    return d in negated or (_is_negation(d) and d.antecedent in units)
 
 
-def _simplify_head(units: list[Formula], head: Formula, run: _Run) -> Rule | None:
-    """The cleaned-up rule for one body branch, None when tautological."""
-    unit_set = set(units)
-    kept: list[Formula] = []
+def _simplify_head(combo: tuple[Formula, ...], head: Formula, run: _Run) -> Rule | None:
+    """The cleaned-up rule for one body branch, None when the branch is
+    contradictory or the rule tautological."""
+    units = dict.fromkeys(combo)
+    negated = {u.antecedent for u in units if _is_negation(u)}
+    if not negated.isdisjoint(units):
+        return None  # u and ~u in the body
+    kept: dict[Formula, None] = {}
     for d in _flatten_or(head):
-        replacement = _propagate_units(d, unit_set)
-        if replacement is None:
+        if _false_under(d, units, negated):
             continue
-        if _is_top(replacement) or replacement in unit_set:
+        if type(d) is And:
+            rest = [c for c in _flatten_and(d) if c not in units]
+            if any(_false_under(c, units, negated) for c in rest):
+                continue
+            d = conj(rest)  # top when the body implies every conjunct
+        if _is_top(d) or d in units:
             return None  # a head disjunct that is top or a body unit
-        kept.append(replacement)
-    kept = list(dict.fromkeys(kept))
-    head_pos = {d.name for d in kept if type(d) is Atom}
-    head_negs = {
-        d.antecedent.name
-        for d in kept
-        if _is_negation(d) and type(d.antecedent) is Atom
-    }
+        kept[d] = None
     rule = Rule(conj(units), disj(kept))
-    if head_pos & head_negs:
+    if any(_is_negation(d) and type(d.antecedent) is Atom and d.antecedent in kept
+           for d in kept):  # an atom and its negation in the head
         try:
             if ht_valid(rule.to_formula(), run.cap):
                 return None
         except CapExceededError:
             pass  # too big to check, keep the rule
     return rule
-
-
-def _simplify_rule(r: Rule, run: _Run) -> list[Rule]:
-    memo = run.memo
-    return _simplify_sides(r, _normalize(r.body, memo), _normalize(r.head, memo), run)
 
 
 def _simplify_sides(
@@ -610,11 +599,7 @@ def _simplify_sides(
         choices = [_flatten_or(factor) for factor in _flatten_and(body)]
         run.spend(math.prod(len(c) for c in choices))
         for combo in itertools.product(*choices):
-            units = list(dict.fromkeys(combo))
-            unit_set = set(units)
-            if any(neg(u) in unit_set for u in units):
-                continue  # contradictory branch of the body
-            cleaned = _simplify_head(units, head, run)
+            cleaned = _simplify_head(combo, head, run)
             if cleaned is not None:
                 results.append(cleaned)
     if run.trace is not None and not (len(results) == 1 and results[0] == r):
@@ -624,7 +609,10 @@ def _simplify_sides(
 
 
 def _simplify_rules(rules: tuple[Rule, ...], run: _Run) -> tuple[Rule, ...]:
-    return _deduped([c for r in rules for c in _simplify_rule(r, run)], run)
+    memo, out = run.memo, []
+    for r in rules:
+        out += _simplify_sides(r, _normalize(r.body, memo), _normalize(r.head, memo), run)
+    return _deduped(out, run)
 
 
 def _deduped(out: list[Rule], run: _Run) -> tuple[Rule, ...]:

@@ -233,6 +233,25 @@ class TestEstimatedRuleCount:
     def test_saturates_instead_of_overflowing(self, text):
         assert estimated_rule_count(parse(text)) == RULE_COUNT_CEILING
 
+    def test_deep_negation_chain_saturates_without_recursion(self):
+        f = Atom("a")
+        for _ in range(5000):
+            f = neg(f)
+        assert estimated_rule_count(f) == RULE_COUNT_CEILING
+        message = (
+            f"^the raw syntactic translation has at least {RULE_COUNT_CEILING} rules, "
+            "over the budget of 4096$"
+        )
+        with pytest.raises(RuleBudgetExceededError, match=message):
+            formula_to_program_syn(f)
+        with pytest.raises(RuleBudgetExceededError, match=message):
+            theory_to_program_syn(Theory((f,)))
+
+    @pytest.mark.parametrize("value", ["a", None, 0])
+    def test_non_formula_is_refused(self, value):
+        with pytest.raises(TypeError, match=f"^not a formula: {value!r}$"):
+            estimated_rule_count(value)
+
 
 class TestSimplifiedRuleBudget:
     def test_one_budget_per_translation(self, monkeypatch):
@@ -345,6 +364,21 @@ class TestSimplify:
         # ht_valid cannot check it.
         program = Program((Rule(And(p, q), head),), atoms_of(p, q, r))
         assert len(simplify(program, cap=cap)) == 0
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a -> ~a | b", "a -> b"),
+        ("~a -> a | b", "~a -> b"),
+        ("a -> b & ~a | c", "a -> c"),
+        ("a -> a & b | c", "a -> b | c"),
+        ("~a -> ~~a & b | c", "~a -> c"),
+        ("a -> a | b", ""),
+    ])
+    def test_body_units_propagate_into_the_head(self, text, expected):
+        # A head disjunct, or a conjunct of one, that the body makes false
+        # is dropped; a conjunct that is a body unit is implied by the body;
+        # a head holding a body unit makes the rule a tautology.
+        program = Program((Rule.from_formula(parse(text)),))
+        assert program_to_text(simplify(program)) == expected
 
     def test_classically_valid_head_is_kept_when_not_ht_valid(self):
         program = program_of("p | ~p")
