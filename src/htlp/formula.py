@@ -17,7 +17,10 @@ Nodes, signatures, rules, theories and programs are immutable values
 and copies and pickles are rebuilt through the constructors: the node
 kinds refuse non-formula children, so every tree is well formed.  The
 walks dispatch on the exact node type, so the node kinds are not meant to
-be subclassed.
+be subclassed.  Two walks use an explicit stack, so no depth is too
+deep: _postorder, which the evaluator, the raw rule count and the
+syntactic translation fold over, and _operands, the leaves of an & or |
+chain, which the nonnested check and the simplifier read.
 
 Every node also keeps one private int, _bits, which its constructor
 computes from its children's: bit 0 is set when the node is not a nested
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import re
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -241,6 +244,39 @@ def _is_top(f: object) -> bool:
     )
 
 
+def _postorder(f: Formula, as_or: Callable | None = None) -> Iterator:
+    """f's atoms and bots as themselves and its other nodes as their kind
+    (And, Or or Implies) once their operands are done, left to right, on an
+    explicit stack.  as_or(node) may name a pair (F, G) for an And node,
+    which is then walked as F | G."""
+    if type(getattr(f, "_bits", None)) is not int:
+        raise _not_a_formula(f)  # below the root, the constructors checked
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Implies:
+            todo += (Implies, node.consequent, node.antecedent)
+        elif kind is And and as_or is not None and (pair := as_or(node)):
+            todo += (Or, pair[1], pair[0])
+        elif kind is And or kind is Or:
+            todo += (kind, node.right, node.left)
+        else:  # an atom, a bot or a kind whose operands are done
+            yield node
+
+
+def _operands(f: Formula, kind: type) -> list[Formula]:
+    """The leaves of the kind (And or Or) tree at the top of f, left to right."""
+    out, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        if type(node) is kind:
+            todo += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
+
+
 def neg(f: Formula) -> Formula:
     """~F, stored as F -> bot."""
     return Implies(f, BOT)
@@ -381,19 +417,6 @@ def is_literal(f: Formula) -> bool:
     )
 
 
-def _is_literal_chain(f: Formula, kind: type) -> bool:
-    """True iff f is a tree of kind (And or Or) nodes over literals."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if type(node) is kind:
-            stack.append(node.right)
-            stack.append(node.left)
-        elif not is_literal(node):
-            return False
-    return True
-
-
 def _split_rule(f: Formula) -> tuple[Formula, Formula] | None:
     """Body/head decomposition of a formula in rule form, or None.
 
@@ -428,9 +451,8 @@ def is_nonnested_rule(f: Formula) -> bool:
     if split is None:
         return False
     body, head = split
-    body_ok = _is_top(body) or _is_literal_chain(body, And)
-    head_ok = type(head) is Bottom or _is_literal_chain(head, Or)
-    return body_ok and head_ok
+    body_ok = _is_top(body) or all(map(is_literal, _operands(body, And)))
+    return body_ok and (type(head) is Bottom or all(map(is_literal, _operands(head, Or))))
 
 
 class Rule(Value):

@@ -1,12 +1,14 @@
-"""Recursive syntactic conversion of arbitrary formulas to programs.
+"""Syntactic conversion of arbitrary formulas to programs.
 
 The pipeline first removes disjunctions through the implication encoding
 
     F | G   ==>   ((F -> G) -> G) & ((G -> F) -> F)
 
-and then converts bottom-up: atoms and bot are single-rule programs,
-conjunctions merge the programs of their parts, and an implication of
-two programs reduces to a program again.  The reduction of a single rule
+and then converts bottom-up, in one postorder walk with an explicit
+stack (formula._postorder), so no step recurses on the formula's depth:
+atoms and bot are single-rule programs, conjunctions merge the programs
+of their parts, and an implication of two programs reduces to a program
+again.  The reduction of a single rule
 (F -> G) implying a rule (H -> K) produces the pair
 
     (H & (G | ~F)) -> K        H -> (K | F | ~G)
@@ -19,7 +21,7 @@ RuleBudgetExceededError up front when estimated_rule_count is past
 RAW_RULE_BUDGET.
 
 A simplified translation does not run Lemma 1 on the encoding of a
-disjunction.  It recognises the encoded shape, converts F and G once
+disjunction.  Its walk recognises the encoded shape, converts F and G once
 each and distributes | over every pair of their rules B -> H and
 C -> G, by the HT identities (HT is closed under substitution, so they
 hold for nested B, H, C, G):
@@ -31,22 +33,22 @@ hold for nested B, H, C, G):
 
 The optional simplifier cleans rules up without ever changing the model
 set: constant folding, the weak De Morgan laws, splitting disjunctive
-bodies, propagating body literals into the head, and dropping rules that
-an enumeration over their own atoms proves tautological.  The unit
-tests of a body branch (u and ~u in the body, a head item the body
-makes false, a head holding a unit) look up its unit dict and the set
-of formulas its units negate.  Its normalizer is one bottom-up pass
-that combines parts already normalized, with a memo per run, so a
-subtree that rules share is normalized once.  Every rule the simplifier
-emits has normalized sides, so Lemma 1 builds its sides normalized from
-them; only simplify()'s input and the distributed rules of a
-disjunction are normalized.  A simplified translation counts
-the rules its Lemma 1 and distribution steps build and the body
-branches the simplifier expands, and raises RuleBudgetExceededError past
-SIMPLIFY_RULE_BUDGET.
+bodies, propagating body literals into the head, and dropping the
+tautologies F -> ~~F and ~F | ~~F and those that an enumeration over
+their own atoms proves.  The unit tests of a body branch (u and ~u in
+the body, a head item the body makes false, a head holding a unit) look
+up its unit dict and the set of formulas its units negate.  Its
+normalizer is one bottom-up pass that combines parts already normalized,
+with a memo per run, so a subtree that rules share is normalized once.
+Every rule the simplifier emits has normalized sides, so Lemma 1 builds
+its sides normalized from them; only simplify()'s input and the
+distributed rules of a disjunction are normalized.  A simplified
+translation counts the rules its Lemma 1 and distribution steps build
+and the body branches the simplifier expands, and raises
+RuleBudgetExceededError past SIMPLIFY_RULE_BUDGET.
 
-Each public entry point builds one run object, _Run, and hands it down
-the recursion: the trace that records the steps, the cap of the
+Each public entry point builds one run object, _Run, and hands it to
+every step: the trace that records the steps, the cap of the
 simplifier's validity checks, and the rule limit with the count spent
 against it.  A limit of None marks the raw construction: conjunctions
 keep their duplicate rules, encoded disjunctions are not recognised,
@@ -74,6 +76,8 @@ from .formula import (
     Theory,
     Value,
     _is_top,
+    _operands,
+    _postorder,
     atoms_of,
     conj,
     disj,
@@ -116,30 +120,23 @@ def eliminate_connectives(
     f: Formula, trace: RewriteTrace | None = None
 ) -> Formula:
     """An equivalent formula over atoms, bot, & and -> only."""
-    kind = type(f)
-    if kind is Atom or kind is Bottom:
-        return f
-    if kind is And:
-        return And(
-            eliminate_connectives(f.left, trace),
-            eliminate_connectives(f.right, trace),
-        )
-    if kind is Implies:
-        return Implies(
-            eliminate_connectives(f.antecedent, trace),
-            eliminate_connectives(f.consequent, trace),
-        )
-    if kind is Or:
-        left = eliminate_connectives(f.left, trace)
-        right = eliminate_connectives(f.right, trace)
+    values: list[Formula] = []
+    for node in _postorder(f):
+        if type(node) is Atom or type(node) is Bottom:
+            values.append(node)
+            continue
+        right, left = values.pop(), values.pop()
+        if node is not Or:
+            values.append(node(left, right))
+            continue
         expanded = And(
             Implies(Implies(left, right), right),
             Implies(Implies(right, left), left),
         )
         if trace is not None:
             trace.record("or-elim", Or(left, right), expanded)
-        return expanded
-    raise TypeError(f"not a formula: {f!r}")
+        values.append(expanded)
+    return values[0]
 
 
 #: The most rules the raw syntactic translation may build; checked up
@@ -327,28 +324,29 @@ def _disjunction(
 
 
 def _convert(f: Formula, run: _Run) -> tuple[Rule, ...]:
-    kind = type(f)
-    if kind is Atom:
-        return (Rule(TOP, f),)
-    if kind is Bottom:
-        return (Rule(TOP, BOT),)
-    if kind is Implies:
-        return _implication(_convert(f.antecedent, run), _convert(f.consequent, run), run)
-    if kind is not And:
-        raise AssertionError("disjunctions must be eliminated before conversion")
+    """The rules of f, a formula without |, bottom up; a simplified run
+    walks an encoded disjunction as F | G."""
     raw = run.limit is None
-    encoded = None if raw else _encoded_disjunction(f)
-    if encoded is not None:
-        return _disjunction(_convert(encoded[0], run), _convert(encoded[1], run), run)
-    left, right = _convert(f.left, run), _convert(f.right, run)
-    merged = left + right
-    if run.trace is not None:
-        run.trace.record(
-            "conj-merge",
-            And(_rules_formula(left), _rules_formula(right)),
-            _rules_formula(merged),
-        )
-    return merged if raw else tuple(dict.fromkeys(merged))
+    values: list[tuple[Rule, ...]] = []
+    for node in _postorder(f, None if raw else _encoded_disjunction):
+        if type(node) is Atom or type(node) is Bottom:
+            values.append((Rule(TOP, node),))
+            continue
+        right, left = values.pop(), values.pop()
+        if node is Implies:
+            values.append(_implication(left, right, run))
+        elif node is Or:
+            values.append(_disjunction(left, right, run))
+        else:
+            merged = left + right
+            if run.trace is not None:
+                run.trace.record(
+                    "conj-merge",
+                    And(_rules_formula(left), _rules_formula(right)),
+                    _rules_formula(merged),
+                )
+            values.append(merged if raw else tuple(dict.fromkeys(merged)))
+    return values[0]
 
 
 def formula_to_program_syn(
@@ -388,28 +386,19 @@ def estimated_rule_count(f: Formula) -> int:
     so it is cheap even where the construction is infeasible.
     """
     values: list[int] = []
-    todo: list = [f]
-    while todo:  # postorder with an explicit stack: no recursion on depth
-        node = todo.pop()
-        kind = type(node)
-        if node is And or node is Or or node is Implies:  # its operands are done
-            right, left = values.pop(), values.pop()
-            if node is Implies:
-                count = _saturated_implication(left, right)
-            elif node is And:
-                count = left + right
-            else:
-                count = _saturated_implication(_saturated_implication(left, right), right)
-                count += _saturated_implication(_saturated_implication(right, left), left)
-            values.append(min(RULE_COUNT_CEILING, count))
-        elif kind is Atom or kind is Bottom:
+    for node in _postorder(f):
+        if type(node) is Atom or type(node) is Bottom:
             values.append(1)
-        elif kind is Implies:
-            todo += (Implies, node.consequent, node.antecedent)
-        elif kind is And or kind is Or:
-            todo += (kind, node.right, node.left)
+            continue
+        right, left = values.pop(), values.pop()
+        if node is Implies:
+            count = _saturated_implication(left, right)
+        elif node is And:
+            count = left + right
         else:
-            raise TypeError(f"not a formula: {node!r}")
+            count = _saturated_implication(_saturated_implication(left, right), right)
+            count += _saturated_implication(_saturated_implication(right, left), left)
+        values.append(min(RULE_COUNT_CEILING, count))
     return values[0]
 
 
@@ -523,32 +512,14 @@ def _flatten_and(f: Formula) -> list[Formula]:
 
     f is normalized, so top can only be the whole of it.
     """
-    if _is_top(f):
-        return []
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if type(node) is And:
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
+    return [] if _is_top(f) else _operands(f, And)
 
 
 def _flatten_or(f: Formula) -> list[Formula]:
     """The disjuncts of f left to right, without bot."""
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if type(node) is Or:
-            stack.append(node.right)
-            stack.append(node.left)
-        elif type(node) is not Bottom:
-            out.append(node)
-    return out
+    if type(f) is not Or:  # the common case, one disjunct
+        return [] if type(f) is Bottom else [f]
+    return [d for d in _operands(f, Or) if type(d) is not Bottom]
 
 
 def _is_negation(f: Formula) -> bool:
@@ -579,6 +550,10 @@ def _simplify_head(combo: tuple[Formula, ...], head: Formula, run: _Run) -> Rule
         if _is_top(d) or d in units:
             return None  # a head disjunct that is top or a body unit
         kept[d] = None
+    for d in kept:  # ~~G with G a unit (F -> ~~F) or ~G kept too (~F | ~~F)
+        if _is_negation(d) and _is_negation(d.antecedent) and (
+                d.antecedent.antecedent in units or d.antecedent in kept):
+            return None
     rule = Rule(conj(units), disj(kept))
     if any(_is_negation(d) and type(d.antecedent) is Atom and d.antecedent in kept
            for d in kept):  # an atom and its negation in the head

@@ -40,11 +40,11 @@ from .formula import (
     Atom,
     Bottom,
     Formula,
-    Implies,
     Or,
     Signature,
     Theory,
     Value,
+    _postorder,
     atoms_of,
 )
 
@@ -116,11 +116,13 @@ def _tables(f: Formula, space: _Space) -> _Tables:
     """The (here, there) tables of f over the space's interpretations."""
     atom, full = space.atom, space.full
     values: list[_Tables] = []
-    todo: list = [f]
-    while todo:
-        node = todo.pop()
+    for node in _postorder(f):
         kind = type(node)
-        if node is And or node is Or or node is Implies:  # its operands are done
+        if kind is Atom:
+            values.append(atom(node.name))
+        elif kind is Bottom:
+            values.append((0, 0))
+        else:  # a kind whose operands are done
             g_here, g_there = values.pop()
             f_here, f_there = values.pop()
             if node is And:
@@ -130,16 +132,6 @@ def _tables(f: Formula, space: _Space) -> _Tables:
             else:
                 there = (~f_there | g_there) & full
                 values.append((there & (~f_here | g_here), there))
-        elif kind is Atom:
-            values.append(atom(node.name))
-        elif kind is Implies:
-            todo += (Implies, node.consequent, node.antecedent)
-        elif kind is And or kind is Or:
-            todo += (kind, node.right, node.left)
-        elif kind is Bottom:
-            values.append((0, 0))
-        else:
-            raise TypeError(f"not a formula: {node!r}")
     return values[0]
 
 

@@ -21,6 +21,45 @@ def is_nested_expression(f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def postorder(f: Formula) -> list:
+    """f's atoms and bots, and each other node's class after its operands."""
+    if isinstance(f, (Atom, Bottom)):
+        return [f]
+    if isinstance(f, (And, Or)):
+        return postorder(f.left) + postorder(f.right) + [type(f)]
+    if isinstance(f, Implies):
+        return postorder(f.antecedent) + postorder(f.consequent) + [Implies]
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _is_literal(f: Formula) -> bool:
+    return isinstance(f, Atom) or (
+        isinstance(f, Implies) and f.consequent == BOT and isinstance(f.antecedent, Atom)
+    )
+
+
+def _literal_tree(f: Formula, kind: type) -> bool:
+    if isinstance(f, kind):
+        return _literal_tree(f.left, kind) and _literal_tree(f.right, kind)
+    return _is_literal(f)
+
+
+def is_nonnested_rule(f: Formula) -> bool:
+    """A conjunction of literals (or top) -> a disjunction of literals (or
+    bot); an implication other than top splits as written, and any other
+    nested expression G is top -> G."""
+    if (
+        isinstance(f, Implies) and f != TOP
+        and is_nested_expression(f.antecedent) and is_nested_expression(f.consequent)
+    ):
+        body, head = f.antecedent, f.consequent
+    elif is_nested_expression(f):
+        body, head = TOP, f
+    else:
+        return False
+    return (body == TOP or _literal_tree(body, And)) and (head == BOT or _literal_tree(head, Or))
+
+
 def atoms_of(*formulas: Formula) -> Signature:
     names: set[str] = set()
     stack = list(formulas)

@@ -19,6 +19,7 @@ from htlp import (
     TOP,
     And,
     Atom,
+    Bottom,
     HtInterpretation,
     Implies,
     InterpretationSet,
@@ -37,6 +38,7 @@ from htlp import (
     equilibrium_models,
     estimated_rule_count,
     is_nested_expression,
+    is_nonnested_rule,
     formula_to_program_syn,
     ht_countermodels,
     ht_equivalent,
@@ -55,11 +57,12 @@ from htlp import (
     theory_to_program_syn,
     to_text,
 )
-from htlp.formula import _is_top, _names
+from htlp.formula import _is_top, _names, _postorder
 from htlp.rewriting import (
     RewriteTrace,
     _Run,
     _disjunction,
+    _encoded_disjunction,
     _flatten_and,
     _flatten_or,
     _normalize,
@@ -619,6 +622,24 @@ def test_atoms_of_matches_the_reference_walk(fs):
 
 
 @fixed
+@given(formulas | malformed)
+@example(And)
+@example(Bottom)
+def test_postorder_matches_the_recursive_walk(f):
+    # The node classes are the walk's markers, so a class as the root
+    # must be refused like any other non-formula.
+    assert outcome(lambda g: list(_postorder(g)), f) == outcome(
+        formula_reference.postorder, f
+    )
+
+
+@fixed
+@given(formulas | nested | st.builds(Implies, nested, nested) | malformed)
+def test_nonnested_rule_matches_the_recursive_walk(f):
+    assert outcome(is_nonnested_rule, f) == outcome(formula_reference.is_nonnested_rule, f)
+
+
+@fixed
 @given(formulas, nested, malformed, st.booleans())
 def test_a_non_formula_is_refused_where_it_enters(f, side, bad, bad_first):
     # Rule gets a nested side, so that only the non-formula is wrong.
@@ -713,3 +734,24 @@ def test_eliminate_connectives_matches_the_reference(f):
         rewriting_reference.eliminate_connectives, f, reference_trace
     )
     assert trace.steps == reference_trace.steps
+
+
+def encodes_a_disjunction(f) -> bool:
+    """Whether some & node of f has the shape eliminate_connectives gives |."""
+    if isinstance(f, (And, Or)):
+        return (isinstance(f, And) and _encoded_disjunction(f) is not None
+                or encodes_a_disjunction(f.left) or encodes_a_disjunction(f.right))
+    if isinstance(f, Implies):
+        return encodes_a_disjunction(f.antecedent) or encodes_a_disjunction(f.consequent)
+    return False
+
+
+@fixed
+@given(formulas.filter(
+    lambda f: Or in formula_reference.postorder(f) and not encodes_a_disjunction(f)
+))
+def test_an_encoded_disjunction_is_walked_as_one(f):
+    # How a simplified translation walks a formula without |: as the
+    # formula it was eliminated from.
+    walked = list(_postorder(eliminate_connectives(f), _encoded_disjunction))
+    assert walked == formula_reference.postorder(f)

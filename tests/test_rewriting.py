@@ -11,6 +11,7 @@ from htlp import (
     TOP,
     And,
     Atom,
+    Formula,
     Implies,
     Or,
     Program,
@@ -247,10 +248,42 @@ class TestEstimatedRuleCount:
         with pytest.raises(RuleBudgetExceededError, match=message):
             theory_to_program_syn(Theory((f,)))
 
-    @pytest.mark.parametrize("value", ["a", None, 0])
+    @pytest.mark.parametrize("value", ["a", None, 0, And])
     def test_non_formula_is_refused(self, value):
         with pytest.raises(TypeError, match=f"^not a formula: {value!r}$"):
             estimated_rule_count(value)
+
+
+def deep_formula(shape: str) -> Formula:
+    """A 5000-deep chain, far past the interpreter's recursion limit."""
+    a, b = Atom("a"), Atom("b")
+    f = a
+    for i in range(5000):
+        if shape == "negations":
+            f = neg(f)
+        elif shape == "implications":
+            f = Implies(a, f)
+        else:  # a left-nested chain alternating & a and | b
+            f = And(f, a) if i % 2 == 0 else Or(f, b)
+    return f
+
+
+class TestDeepInputs:
+    """The simplified translation walks without recursion on the depth;
+    the parser refuses such nesting, so only the library reaches it."""
+
+    @pytest.mark.parametrize("shape, expected", [
+        ("negations", "~a -> bot"),
+        ("implications", ""),
+        ("alternating", "a | b"),
+    ])
+    def test_simplified_translation_answers(self, shape, expected):
+        f = deep_formula(shape)
+        assert atoms_of(eliminate_connectives(f)) == atoms_of(f)
+        t = Theory((f,))
+        for program in (formula_to_program_syn(f, True), theory_to_program_syn(t, True)):
+            assert program_to_text(program) == expected
+            assert ht_equivalent(program.to_theory(), t).equivalent
 
 
 class TestSimplifiedRuleBudget:
@@ -379,6 +412,18 @@ class TestSimplify:
         # a head holding a body unit makes the rule a tautology.
         program = Program((Rule.from_formula(parse(text)),))
         assert program_to_text(simplify(program)) == expected
+
+    @pytest.mark.parametrize("text", ["~a | ~~a", "a -> ~~a", "b -> ~a | ~~a"])
+    def test_double_negation_tautologies_are_dropped(self, text):
+        # F -> ~~F and the weak excluded middle ~F | ~~F hold in HT for any F.
+        f = parse(text)
+        assert len(formula_to_program_syn(f, simplify=True)) == 0
+        assert len(simplify(Program((Rule.from_formula(f),)))) == 0
+
+    @pytest.mark.parametrize("text", ["b -> ~~a", "~b | ~~a"])
+    def test_double_negations_of_other_formulas_are_kept(self, text):
+        program = Program((Rule.from_formula(parse(text)),))
+        assert program_to_text(simplify(program)) == text
 
     def test_classically_valid_head_is_kept_when_not_ht_valid(self):
         program = program_of("p | ~p")
