@@ -244,14 +244,14 @@ def _is_top(f: object) -> bool:
     )
 
 
-def _postorder(f: Formula, as_or: Callable | None = None) -> Iterator:
+def _postorder(f: Formula, as_or: Callable | None = None) -> list:
     """f's atoms and bots as themselves and its other nodes as their kind
-    (And, Or or Implies) once their operands are done, left to right, on an
-    explicit stack.  as_or(node) may name a pair (F, G) for an And node,
-    which is then walked as F | G."""
+    (And, Or or Implies) once their operands are done, left to right,
+    listed from an explicit stack.  as_or(node) may name a pair (F, G) for
+    an And node, which is then walked as F | G."""
     if type(getattr(f, "_bits", None)) is not int:
         raise _not_a_formula(f)  # below the root, the constructors checked
-    todo = [f]
+    out, todo = [], [f]
     while todo:
         node = todo.pop()
         kind = type(node)
@@ -262,7 +262,8 @@ def _postorder(f: Formula, as_or: Callable | None = None) -> Iterator:
         elif kind is And or kind is Or:
             todo += (kind, node.right, node.left)
         else:  # an atom, a bot or a kind whose operands are done
-            yield node
+            out.append(node)
+    return out
 
 
 def _operands(f: Formula, kind: type) -> list[Formula]:

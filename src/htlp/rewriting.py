@@ -5,11 +5,12 @@ The pipeline first removes disjunctions through the implication encoding
     F | G   ==>   ((F -> G) -> G) & ((G -> F) -> F)
 
 and then converts bottom-up, in one postorder walk with an explicit
-stack (formula._postorder), so no step recurses on the formula's depth:
-atoms and bot are single-rule programs, conjunctions merge the programs
-of their parts, and an implication of two programs reduces to a program
-again.  The reduction of a single rule
-(F -> G) implying a rule (H -> K) produces the pair
+stack (formula._postorder), so neither pass recurses on the formula's
+depth, though the simplifier's normalizer and the rules' hashes recurse
+on the sides of the rules.  Atoms and bot are single-rule programs,
+conjunctions merge the programs of their parts, and an implication of
+two programs reduces to a program again.  The reduction of a single
+rule (F -> G) implying a rule (H -> K) produces the pair
 
     (H & (G | ~F)) -> K        H -> (K | F | ~G)
 
@@ -517,8 +518,6 @@ def _flatten_and(f: Formula) -> list[Formula]:
 
 def _flatten_or(f: Formula) -> list[Formula]:
     """The disjuncts of f left to right, without bot."""
-    if type(f) is not Or:  # the common case, one disjunct
-        return [] if type(f) is Bottom else [f]
     return [d for d in _operands(f, Or) if type(d) is not Bottom]
 
 

@@ -285,6 +285,16 @@ class TestDeepInputs:
             assert program_to_text(program) == expected
             assert ht_equivalent(program.to_theory(), t).equivalent
 
+    def test_deep_rule_sides_still_recurse(self):
+        # x0 | x1 | ... | x1999, left-nested: the walks answer, but each
+        # distribution step's rule head is the disjunction so far, and
+        # hashing and normalizing a rule recurse on its sides (ROADMAP
+        # item 6).  This pins that limit until those become iterative.
+        f = disj(Atom(f"x{i}") for i in range(2000))
+        assert atoms_of(eliminate_connectives(f)) == atoms_of(f)
+        with pytest.raises(RecursionError):
+            formula_to_program_syn(f, True)
+
 
 class TestSimplifiedRuleBudget:
     def test_one_budget_per_translation(self, monkeypatch):
