@@ -26,7 +26,7 @@ from functools import lru_cache
 from .formula import (
     TOP, And, Atom, Formula, Implies, Program, Rule, Theory, Value, conj, disj, neg,
 )
-from .semantics import DEFAULT_CAP, HtInterpretation, InterpretationSet, _Space
+from .semantics import DEFAULT_CAP, HtInterpretation, InterpretationSet, _Space, _space
 
 class NotTotalClosedError(ValueError):
     """The interpretation set misses part of a total member's column."""
@@ -185,11 +185,11 @@ def program_from_set(s: InterpretationSet) -> Program:
     s must be total-closed, otherwise the countermodels of the result
     would strictly contain it.
     """
-    return _program(_Space(s.signature), s._table)
+    return _program(_space(s.signature), s._table)
 
 
 def _countermodel_program(t: Theory, cap: int) -> Program:
-    space = _Space(t.signature, cap)
+    space = _space(t.signature, cap)
     return _program(space, space.full ^ space.theory(t))
 
 
@@ -217,11 +217,10 @@ def theory_to_program_cm(
 
 def theory_to_dnf_clauses(t: Theory, cap: int = DEFAULT_CAP) -> tuple[DnfClause, ...]:
     """One clause per model of t, in canonical model order."""
-    space, lits, memo = _Space(t.signature, cap), _literal_table(t.signature.atoms), {}
-    names, sig = space.names, t.signature
-    return tuple([DnfClause(HtInterpretation(names[x], names[y], sig),
-                            _build(lits, memo, x, y, True))
-                  for x, y in space.pairs(space.theory(t))])
+    space, lits, memo = _space(t.signature, cap), _literal_table(t.signature.atoms), {}
+    table = space.theory(t)
+    return tuple([DnfClause(m, _build(lits, memo, x, y, True))
+                  for (x, y), m in zip(space.pairs(table), space.members(table))])
 
 
 def theory_to_dnf(t: Theory, cap: int = DEFAULT_CAP) -> Formula:
@@ -229,5 +228,5 @@ def theory_to_dnf(t: Theory, cap: int = DEFAULT_CAP) -> Formula:
 
     Equivalent to t in here-and-there, hence strongly equivalent to it.
     """
-    space, lits, memo = _Space(t.signature, cap), _literal_table(t.signature.atoms), {}
+    space, lits, memo = _space(t.signature, cap), _literal_table(t.signature.atoms), {}
     return disj([_build(lits, memo, x, y, True) for x, y in space.pairs(space.theory(t))])

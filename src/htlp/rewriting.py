@@ -549,9 +549,11 @@ def _simplify_head(combo: tuple[Formula, ...], head: Formula, run: _Run) -> Rule
         if _is_top(d) or d in units:
             return None  # a head disjunct that is top or a body unit
         kept[d] = None
-    for d in kept:  # ~~G with G a unit (F -> ~~F) or ~G kept too (~F | ~~F)
-        if _is_negation(d) and _is_negation(d.antecedent) and (
-                d.antecedent.antecedent in units or d.antecedent in kept):
+    for d in kept:  # ~~G, or a conjunction of such, with each G a unit
+        # (F -> ~~F) or its ~G kept too (~F | ~~F)
+        if all(_is_negation(c) and _is_negation(c.antecedent) and (
+                c.antecedent.antecedent in units or c.antecedent in kept)
+               for c in (_operands(d, And) if type(d) is And else (d,))):
             return None
     rule = Rule(conj(units), disj(kept))
     if any(_is_negation(d) and type(d.antecedent) is Atom and d.antecedent in kept

@@ -26,7 +26,9 @@ The tables have 3^n bits, hence an explicit cap (default 16 atoms).
 One walk, _Space.pairs, lists a table's members in canonical order as
 (X, Y) bit masks, which the countermodel and DNF builders read as they
 are.  Decoding a table into an InterpretationSet takes the same walk and
-builds one checked HtInterpretation per member, eagerly.  The members
+gives one checked HtInterpretation per member.  The space of the last
+signature is shared (_space), and it keeps each member it has decoded,
+so every later set over that signature shares the object.  The members
 share one frozenset per atom mask, so the constructor's checks are two
 subset tests and allocate nothing.
 """
@@ -34,6 +36,7 @@ subset tests and allocate nothing.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from .formula import (
     And,
@@ -136,12 +139,11 @@ def _tables(f: Formula, space: _Space) -> _Tables:
 
 
 class _Space:
-    """The 3^n interpretations over a signature, as table positions."""
+    """The 3^n interpretations over a signature, as table positions; those
+    decoded so far sit in decoded[Y mask], a slot per submask of Y."""
 
-    def __init__(self, sig: Signature, cap: int | None = None) -> None:
-        if cap is not None and len(sig) > cap:
-            raise CapExceededError(len(sig), cap)
-        self.signature = sig
+    def __init__(self, sig: Signature) -> None:
+        self.signature, self.decoded = sig, {}
         self.weight = {name: 3**i for i, name in enumerate(sig)}
         # (X, Y) sits at offset[Y mask] + offset[X mask]; names[mask] is the
         # atom set, shared; twos[3^i] marks the positions whose digit i is 2.
@@ -179,24 +181,29 @@ class _Space:
             if bits[base >> 2] >> (2 * base & 7) & 1:  # (Y, Y) is at 2 * base
                 yield y
 
-    def pairs(self, table: int, columns: int | None = None, decode=None) -> Iterator:
+    def pairs(self, table: int, columns: int | None = None, decode: bool = False) -> Iterator:
         """table's members in canonical order, from the given totals' columns:
-        each as its masks (x, y), or with decode as decode(X, Y, signature)."""
+        each as its masks (x, y), or with decode as the space's one
+        HtInterpretation of (X, Y)."""
         bits = table.to_bytes(self.size // 8 + 1, "little")
         offset, names, sig = self.offset, self.names, self.signature
         for y in self.totals(self.project(table) if columns is None else columns):
-            base, x = offset[y], 0
+            base, x, i, slots = offset[y], 0, 0, decode and self.decoded.get(y)
+            if slots is None:
+                slots = self.decoded[y] = [None] * (1 << len(names[y]))
             while True:
                 p = base + offset[x]
                 if bits[p >> 3] >> (p & 7) & 1:
-                    yield (x, y) if decode is None else decode(names[x], names[y], sig)
+                    if decode and slots[i] is None:
+                        slots[i] = HtInterpretation(names[x], names[y], sig)
+                    yield slots[i] if decode else (x, y)
                 if x == y:
                     break
-                x = (x - y) & y  # the next submask of y
+                x, i = (x - y) & y, i + 1  # the next submask of y, and its slot
 
     def members(self, table: int, columns: int | None = None) -> Iterator[HtInterpretation]:
         """table's interpretations in canonical order, decoded on the walk of pairs."""
-        return self.pairs(table, columns, HtInterpretation)
+        return self.pairs(table, columns, True)
 
     def closure_violation(self, table: int) -> tuple[HtInterpretation, ...] | None:
         """A total member of table whose column is incomplete, with a missing (X, Y)."""
@@ -204,8 +211,18 @@ class _Space:
         broken = table & self.project(missing)
         if not broken:
             return None
-        gap = next(self.members(missing, broken & -broken))
-        return HtInterpretation(gap.there, gap.there, self.signature), gap
+        column = broken & -broken
+        return next(self.members(broken, column)), next(self.members(missing, column))
+
+
+def _space(sig: Signature, cap: int | None = None) -> _Space:
+    """The space over sig, shared since the last call over another signature."""
+    if cap is not None and len(sig) > cap:
+        raise CapExceededError(len(sig), cap)
+    return _last_space(sig)
+
+
+_last_space = lru_cache(maxsize=1)(_Space)
 
 
 class InterpretationSet(Value):
@@ -233,7 +250,7 @@ class InterpretationSet(Value):
                     f"interpretation over {m.over!r} in a set over {signature!r}"
                 )
         object.__setattr__(self, "signature", signature)
-        space = _Space(signature)
+        space = _space(signature)
         weight = space.weight
         positions = {
             sum(weight[a] for a in m.there) + sum(weight[a] for a in m.here)
@@ -263,7 +280,7 @@ class InterpretationSet(Value):
 
     def total_closure_violation(self) -> tuple[HtInterpretation, HtInterpretation] | None:
         """A total member whose family is incomplete, with a missing (X, Y)."""
-        return _Space(self.signature).closure_violation(self._table)
+        return _space(self.signature).closure_violation(self._table)
 
     def display_lines(self) -> list[str]:
         return [m.display() for m in self.members]
@@ -273,13 +290,13 @@ class InterpretationSet(Value):
 
 def ht_models(t: Theory, cap: int = DEFAULT_CAP) -> InterpretationSet:
     """The interpretations over t's signature satisfying every formula of t."""
-    space = _Space(t.signature, cap)
+    space = _space(t.signature, cap)
     return InterpretationSet._of(space, space.theory(t))
 
 
 def ht_countermodels(t: Theory, cap: int = DEFAULT_CAP) -> InterpretationSet:
     """The complement of ht_models; always total-closed."""
-    space = _Space(t.signature, cap)
+    space = _space(t.signature, cap)
     return InterpretationSet._of(space, space.full ^ space.theory(t))
 
 
@@ -287,7 +304,7 @@ def _models_and_countermodels(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> tuple[InterpretationSet, InterpretationSet]:
     """ht_models and ht_countermodels of t, from one compiled table."""
-    space = _Space(t.signature, cap)
+    space = _space(t.signature, cap)
     models = space.theory(t)
     return (
         InterpretationSet._of(space, models),
@@ -301,7 +318,7 @@ def ht_valid(f: Formula, cap: int = DEFAULT_CAP) -> bool:
     Validity is insensitive to enlarging the signature, so checking over
     the occurring atoms is enough.
     """
-    space = _Space(atoms_of(f), cap)
+    space = _space(atoms_of(f), cap)
     return _tables(f, space)[0] == space.full
 
 
@@ -326,7 +343,7 @@ def ht_equivalent(
     of the two theories.  The witness is the first differing
     interpretation in canonical order.
     """
-    space = _Space(t1.signature | t2.signature, cap)
+    space = _space(t1.signature | t2.signature, cap)
     differ = space.theory(t1) ^ space.theory(t2)
     if not differ:
         return EquivalenceResult(True)
@@ -337,7 +354,7 @@ def equilibrium_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> tuple[frozenset[str], ...]:
     """All Y with (Y, Y) a model of t and no (X, Y), X proper, a model."""
-    space = _Space(t.signature, cap)
+    space = _space(t.signature, cap)
     models = space.theory(t)
     stable = models & space.total & ~space.project(models & ~space.total)
     return tuple(space.names[y] for y in space.totals(stable))

@@ -150,6 +150,17 @@ def test_model_listings(t):
 
 
 @fixed
+@given(formulas)
+def test_model_listings_over_alternating_signatures(f):
+    # One space is kept, for the last signature: widening f's signature by
+    # f, then by g, then by f again swaps it out and back in.
+    for extra in ("f", "g", "f"):
+        t = Theory((f,), atoms_of(f) | Signature([extra]))
+        assert pairs(ht_models(t)) == ref.models(t)
+        assert pairs(ht_countermodels(t)) == ref.countermodels(t)
+
+
+@fixed
 @given(theories())
 def test_equilibrium_models(t):
     assert list(equilibrium_models(t)) == ref.equilibrium_models(t)

@@ -423,14 +423,20 @@ class TestSimplify:
         program = Program((Rule.from_formula(parse(text)),))
         assert program_to_text(simplify(program)) == expected
 
-    @pytest.mark.parametrize("text", ["~a | ~~a", "a -> ~~a", "b -> ~a | ~~a"])
+    @pytest.mark.parametrize("text", [
+        "~a | ~~a", "a -> ~~a", "b -> ~a | ~~a",
+        # normalized to ~a | ~b | ~~a & ~~b, a & b -> ~~a & ~~b and
+        # a -> ~b | ~~a & ~~b: each conjunct ~~G has G a unit or ~G kept
+        "~(a & b) | ~~(a & b)", "a & b -> ~~(a & b)", "a -> ~b | ~~(a & b)",
+    ])
     def test_double_negation_tautologies_are_dropped(self, text):
         # F -> ~~F and the weak excluded middle ~F | ~~F hold in HT for any F.
         f = parse(text)
         assert len(formula_to_program_syn(f, simplify=True)) == 0
         assert len(simplify(Program((Rule.from_formula(f),)))) == 0
 
-    @pytest.mark.parametrize("text", ["b -> ~~a", "~b | ~~a"])
+    @pytest.mark.parametrize("text", ["b -> ~~a", "~b | ~~a", "~b | ~~a & ~~b",
+                                      "a -> ~~a & ~~b"])
     def test_double_negations_of_other_formulas_are_kept(self, text):
         program = Program((Rule.from_formula(parse(text)),))
         assert program_to_text(simplify(program)) == text

@@ -28,6 +28,8 @@ from htlp import (
     neg,
     parse,
     parse_theory,
+    theory_to_dnf,
+    theory_to_program_cm,
 )
 import ht_reference as ref
 from api_reference import enumerate_interpretations, strong_equivalence_probe
@@ -344,3 +346,40 @@ class TestHtValid:
         f = parse("a & b & c & d")
         with pytest.raises(CapExceededError):
             ht_valid(f, cap=3)
+
+
+class TestSharedSpace:
+    """Calls over one signature share its space and its decoded members."""
+
+    @pytest.mark.parametrize("call", [
+        ht_models,
+        ht_countermodels,
+        equilibrium_models,
+        lambda t, cap: ht_equivalent(t, t, cap),
+        lambda t, cap: theory_to_program_cm(t, cap=cap),
+        theory_to_dnf,
+    ])
+    def test_cap_holds_on_a_cache_hit(self, call):
+        t = single(parse("p & q -> r"))
+        assert len(ht_models(t)) == 22  # the space over {p, q, r} is now kept
+        with pytest.raises(CapExceededError) as err:
+            call(t, cap=2)
+        assert (err.value.cap, err.value.needed) == (2, 3)
+
+    def test_alternating_signatures_give_the_reference_listings(self):
+        for extra in ("b", "c", "b"):  # over {a, b}, {a, c}, {a, b}
+            t = Theory((parse("~~a -> a"),), Signature(["a", extra]))
+            assert [(m.here, m.there) for m in ht_models(t)] == ref.models(t)
+            assert [(m.here, m.there) for m in ht_countermodels(t)] == ref.countermodels(t)
+            assert list(equilibrium_models(t)) == ref.equilibrium_models(t)
+            partner = Theory((parse(f"~a -> {extra}"),), t.signature)
+            witness = ht_equivalent(t, partner).witness
+            assert (witness.here, witness.there) == ref.equivalence_witness(t, partner)
+
+    def test_members_are_shared_between_calls(self):
+        t = single(parse("(q -> p) | r"))
+        first, second = ht_models(t), ht_models(t)
+        assert len(first) == 21 and all(m is n for m, n in zip(first, second))
+        rebuilt = InterpretationSet(
+            [HtInterpretation(m.here, m.there, t.signature) for m in first])
+        assert all(m is n for m, n in zip(first, rebuilt))
