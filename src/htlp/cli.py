@@ -53,8 +53,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 
-#: Caps beyond this need an explicit acknowledgment flag.
-CAP_ACK_LIMIT = 20
+#: Caps beyond this, the largest measured to fit in memory, need --allow-large.
+CAP_ACK_LIMIT = 17
 
 
 def _atom_count(text: str) -> int:
@@ -382,8 +382,8 @@ def run() -> None:
     # A reader that closes the pipe early ends htlp quietly, as it ends cat.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    # Formula trees hold no cycles, so the cyclic collector finds nothing
-    # to free; left on, it rescans the growing output over and over.
+    # Off for the whole run, parsing, the space and printing included, for
+    # the reason formula._collector_paused's docstring gives.
     gc.disable()
     sys.exit(main())
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .formula import (
-    TOP, And, Atom, Formula, Implies, Program, Rule, Theory, Value, conj, disj, neg,
-)
+from .formula import (TOP, And, Atom, Formula, Implies, Program, Rule, Theory, Value,
+                      _collector_paused, conj, disj, neg)
 from .semantics import DEFAULT_CAP, HtInterpretation, InterpretationSet, _Space, _space
 
 class NotTotalClosedError(ValueError):
@@ -179,6 +178,7 @@ def _program(space: _Space, table: int) -> Program:
     return Program(rules, space.signature)
 
 
+@_collector_paused
 def program_from_set(s: InterpretationSet) -> Program:
     """The program whose countermodel set is exactly s, one rule per member.
 
@@ -193,6 +193,7 @@ def _countermodel_program(t: Theory, cap: int) -> Program:
     return _program(space, space.full ^ space.theory(t))
 
 
+@_collector_paused
 def theory_to_program_cm(
     t: Theory, mode: str = "whole", cap: int = DEFAULT_CAP
 ) -> Program:
@@ -215,6 +216,7 @@ def theory_to_program_cm(
     raise ValueError(f"unknown mode: {mode!r}")
 
 
+@_collector_paused
 def theory_to_dnf_clauses(t: Theory, cap: int = DEFAULT_CAP) -> tuple[DnfClause, ...]:
     """One clause per model of t, in canonical model order."""
     space, lits, memo = _space(t.signature, cap), _literal_table(t.signature.atoms), {}
@@ -223,6 +225,7 @@ def theory_to_dnf_clauses(t: Theory, cap: int = DEFAULT_CAP) -> tuple[DnfClause,
                   for (x, y), m in zip(space.pairs(table), space.members(table))])
 
 
+@_collector_paused
 def theory_to_dnf(t: Theory, cap: int = DEFAULT_CAP) -> Formula:
     """The disjunction of the clauses of all models of t; bot when none.
 

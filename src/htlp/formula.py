@@ -15,12 +15,13 @@ count as rules with body top.
 Nodes, signatures, rules, theories and programs are immutable values
 (Value), compared and hashed by their fields.  Every constructor checks,
 and copies and pickles are rebuilt through the constructors: the node
-kinds refuse non-formula children, so every tree is well formed.  The
+kinds refuse non-formula children, so every tree is well formed, and
+acyclic, which lets _collector_paused pause the cyclic collector.  The
 walks dispatch on the exact node type, so the node kinds are not meant to
-be subclassed.  Two walks use an explicit stack, so no depth is too
-deep: _postorder, which the evaluator, the raw rule count and the
-syntactic translation fold over, and _operands, the leaves of an & or |
-chain, which the nonnested check and the simplifier read.
+be subclassed.  Two walks use an explicit stack, so no depth is too deep:
+_postorder, which the evaluator, the raw rule count and the syntactic
+translation fold over, and _operands, the leaves of an & or | chain, which
+the nonnested check and the simplifier read.
 
 Every node also keeps one private int, _bits, which its constructor
 computes from its children's: bit 0 is set when the node is not a nested
@@ -34,9 +35,11 @@ and repr ignore it, and they still recurse through the tree.
 
 from __future__ import annotations
 
+import gc
 import re
 import threading
 from collections.abc import Callable, Iterable, Iterator
+from functools import wraps
 
 _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -520,6 +523,23 @@ def _rule_atoms(rules: tuple[Rule, ...]) -> set[str]:
     return _names(bits)
 
 
+def _collector_paused(build: Callable) -> Callable:
+    """build, with CPython's cyclic collector off if it was on, then on again.
+    Nodes take finished children and the builders' memos are int-keyed dicts
+    and lru_caches, so no tree, rule, program or interpretation holds a cycle:
+    while a tree grows, the collector only rescans it and frees nothing."""
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 class Program(Value):
     """A finite list of rules over an explicit signature."""
 
@@ -535,6 +555,7 @@ class Program(Value):
     def is_nonnested(self) -> bool:
         return all(r.is_nonnested() for r in self.rules)
 
+    @_collector_paused
     def to_theory(self) -> Theory:
         """The rules as formulas, over the program's signature."""
         return Theory(tuple(r.to_formula() for r in self.rules), self.signature)

@@ -498,6 +498,15 @@ class TestErrors:
         assert code == 0
         assert len(out.splitlines()) == 21
 
+    def test_caps_past_the_largest_that_fits_need_acknowledgment(self, capsys, formula2_file):
+        # 17 atoms is the largest space measured to fit in memory.
+        code, _, err = run_cli(capsys, "models", formula2_file, "--cap", "18")
+        assert code == 2
+        assert "--cap 18 exceeds 17" in err and "--allow-large" in err
+        code, out, _ = run_cli(capsys, "models", formula2_file, "--cap", "17")
+        assert code == 0
+        assert len(out.splitlines()) == 21
+
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
     def test_closed_output_pipe_ends_quietly(self, tmp_path):
         # count 12 prints 158,754 digits, more than a pipe buffer holds, so

@@ -1,13 +1,18 @@
 """The countermodel-to-rule construction and its exactness."""
 
+import gc
+import inspect
 import random
 
 import pytest
 
 from htlp import (
+    CapExceededError,
     HtInterpretation,
     InterpretationSet,
     NotTotalClosedError,
+    Program,
+    Rule,
     Signature,
     Theory,
     atoms_of,
@@ -20,10 +25,12 @@ from htlp import (
     parse_theory,
     program_from_set,
     rule_to_text,
+    theory_to_dnf,
+    theory_to_dnf_clauses,
     theory_to_program_cm,
 )
 import ht_reference as ref
-from htlp import semantics
+from htlp import countermodels, semantics
 from api_reference import enumerate_interpretations
 from conftest import single
 
@@ -193,3 +200,90 @@ class TestTheoryToProgram:
             program = theory_to_program_cm(t)
             assert program.is_nonnested()
             assert ht_equivalent(t, program.to_theory()).equivalent
+
+
+PAPER = single(parse("(q -> p) | r"))
+PAPER_PROGRAM = theory_to_program_cm(PAPER)
+
+# Each builder that pauses the collector, called on the paper's example.
+PAUSED_CALLS = {
+    "theory_to_program_cm": lambda: theory_to_program_cm(PAPER),
+    "theory_to_program_cm per_formula": lambda: theory_to_program_cm(PAPER, "per_formula"),
+    "program_from_set": lambda: program_from_set(ht_countermodels(PAPER)),
+    "theory_to_dnf": lambda: theory_to_dnf(PAPER),
+    "theory_to_dnf_clauses": lambda: theory_to_dnf_clauses(PAPER),
+}
+
+NOT_TOTAL_CLOSED = InterpretationSet(
+    (HtInterpretation({"a"}, {"a"}, Signature(["a"])),), Signature(["a"])
+)
+
+# Each error a paused builder raises from inside the pause.
+PAUSED_ERRORS = {
+    "cap": (CapExceededError, lambda: theory_to_dnf(PAPER, cap=2)),
+    "mode": (ValueError, lambda: theory_to_program_cm(PAPER, "bogus")),
+    "closure": (NotTotalClosedError, lambda: program_from_set(NOT_TOTAL_CLOSED)),
+}
+
+
+class TestCollectorPaused:
+    """The model-based builders and Program.to_theory grow their outputs
+    with the cyclic collector off, and leave it as they found it."""
+
+    def _recording(self, monkeypatch, owner, name):
+        seen, original = [], getattr(owner, name)
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+        return seen
+
+    @pytest.mark.parametrize("call", PAUSED_CALLS)
+    def test_builders_run_with_the_collector_off(self, monkeypatch, call):
+        seen = self._recording(monkeypatch, countermodels, "_build")
+        assert gc.isenabled()
+        PAUSED_CALLS[call]()
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_to_theory_runs_with_the_collector_off(self, monkeypatch):
+        seen = self._recording(monkeypatch, Rule, "to_formula")
+        assert gc.isenabled()
+        assert len(PAPER_PROGRAM.to_theory().formulas) == len(PAPER_PROGRAM) == len(seen)
+        assert not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("error", PAUSED_ERRORS)
+    def test_an_error_leaves_the_collector_as_found(self, error, enabled):
+        kind, call = PAUSED_ERRORS[error]
+        if not enabled:
+            gc.disable()
+        try:
+            with pytest.raises(kind):
+                call()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("call", [*PAUSED_CALLS.values(), PAPER_PROGRAM.to_theory],
+                             ids=[*PAUSED_CALLS, "to_theory"])
+    def test_a_disabled_collector_stays_disabled(self, call):
+        gc.disable()
+        try:
+            call()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("builder", [
+        theory_to_program_cm, program_from_set, theory_to_dnf,
+        theory_to_dnf_clauses, Program.to_theory,
+    ])
+    def test_the_wrapper_keeps_name_doc_and_signature(self, builder):
+        build = builder.__wrapped__
+        assert builder.__name__ == build.__name__
+        assert builder.__doc__ == build.__doc__
+        assert inspect.signature(builder) == inspect.signature(build)
