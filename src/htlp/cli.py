@@ -239,7 +239,7 @@ def _translate(args: argparse.Namespace, theory: Theory) -> Program:
         # Already in simplify()'s normal form, so --simplify changes nothing.
         return theory_to_program_cm(theory, args.mode, args.cap)
     trace = RewriteTrace() if args.trace else None
-    program = theory_to_program_syn(theory, args.simplify, trace, args.cap)
+    program = theory_to_program_syn(theory, args.simplify, trace)
     if trace is not None and trace.steps:
         print("\n".join(trace.lines()), file=sys.stderr)
     return program

@@ -34,11 +34,13 @@ hold for nested B, H, C, G):
 
 The optional simplifier cleans rules up without ever changing the model
 set: constant folding, the weak De Morgan laws, splitting disjunctive
-bodies, propagating body literals into the head, and dropping the
-tautologies F -> ~~F and ~F | ~~F and those that an enumeration over
-their own atoms proves.  The unit tests of a body branch (u and ~u in
-the body, a head item the body makes false, a head holding a unit) look
-up its unit dict and the set of formulas its units negate.  Its
+bodies into branches and each branch into its conjuncts, the units,
+propagating the units into the head, and dropping the tautologies
+F -> ~~F and ~F | ~~F.  It decides validity by syntax alone, never by
+evaluating a rule, so its output never depends on a cap.  The unit tests
+of a branch (u and ~u in the body, a head item the body makes false, a
+head holding a unit) look up its unit dict and the set of formulas its
+units negate; on nonnested rules they drop exactly the valid ones.  Its
 normalizer is one bottom-up pass that combines parts already normalized,
 with a memo per run, so a subtree that rules share is normalized once.
 Every rule the simplifier emits has normalized sides, so Lemma 1 builds
@@ -49,12 +51,12 @@ and the body branches the simplifier expands, and raises
 RuleBudgetExceededError past SIMPLIFY_RULE_BUDGET.
 
 Each public entry point builds one run object, _Run, and hands it to
-every step: the trace that records the steps, the cap of the
-simplifier's validity checks, and the rule limit with the count spent
-against it.  A limit of None marks the raw construction: conjunctions
-keep their duplicate rules, encoded disjunctions are not recognised,
-Lemma 1's output is not cleaned up, and spend() counts nothing.  The
-public simplify() runs the cleanup alone, under such an uncounted run.
+every step: the trace that records the steps and the rule limit with
+the count spent against it.  A limit of None marks the raw construction:
+conjunctions keep their duplicate rules, encoded disjunctions are not
+recognised, Lemma 1's output is not cleaned up, and spend() counts
+nothing.  The public simplify() runs the cleanup alone, under such an
+uncounted run.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from .formula import (
     neg,
     to_text,
 )
-from .semantics import DEFAULT_CAP, CapExceededError, ht_valid
 
 
 class TraceStep(Value):
@@ -158,15 +159,12 @@ class RuleBudgetExceededError(Exception):
 
 
 class _Run:
-    """The trace, cap and rule budget of one translation; limit None is raw."""
+    """The trace and rule budget of one translation; limit None is raw."""
 
-    __slots__ = ("trace", "cap", "limit", "spent", "memo")
+    __slots__ = ("trace", "limit", "spent", "memo")
 
-    def __init__(
-        self, trace: RewriteTrace | None, cap: int, limit: int | None = None
-    ) -> None:
+    def __init__(self, trace: RewriteTrace | None, limit: int | None = None) -> None:
         self.trace = trace
-        self.cap = cap
         self.limit = limit
         self.spent = 0
         # id(node) -> (node, normal form); holding node keeps its id unique.
@@ -174,12 +172,12 @@ class _Run:
 
     @classmethod
     def start(
-        cls, formulas: Iterable[Formula], simplify: bool, trace: RewriteTrace | None, cap: int
+        cls, formulas: Iterable[Formula], simplify: bool, trace: RewriteTrace | None
     ) -> _Run:
         """A simplified run within SIMPLIFY_RULE_BUDGET, or a raw one once the
         estimate of its size is within RAW_RULE_BUDGET."""
         if simplify:
-            return cls(trace, cap, SIMPLIFY_RULE_BUDGET)
+            return cls(trace, SIMPLIFY_RULE_BUDGET)
         needed = sum(estimated_rule_count(f) for f in formulas)
         if needed > RAW_RULE_BUDGET:
             at_least = "at least " if needed >= RULE_COUNT_CEILING else ""
@@ -187,7 +185,7 @@ class _Run:
                 f"the raw syntactic translation has {at_least}{needed} rules, "
                 f"over the budget of {RAW_RULE_BUDGET}"
             )
-        return cls(trace, cap)
+        return cls(trace)
 
     def spend(self, rules: int) -> None:
         """Count rules against the limit; a raw run counts nothing."""
@@ -351,10 +349,7 @@ def _convert(f: Formula, run: _Run) -> tuple[Rule, ...]:
 
 
 def formula_to_program_syn(
-    f: Formula,
-    simplify: bool = False,
-    trace: RewriteTrace | None = None,
-    cap: int = DEFAULT_CAP,
+    f: Formula, simplify: bool = False, trace: RewriteTrace | None = None
 ) -> Program:
     """A program equivalent to f in here-and-there, by syntactic rewriting.
 
@@ -365,7 +360,7 @@ def formula_to_program_syn(
     within RAW_RULE_BUDGET.  Rules may still have nested bodies and heads
     either way.
     """
-    run = _Run.start((f,), simplify, trace, cap)
+    run = _Run.start((f,), simplify, trace)
     rules = _convert(eliminate_connectives(f, trace), run)
     return Program(rules, atoms_of(f))
 
@@ -411,17 +406,14 @@ def _saturated_implication(m: int, n: int) -> int:
 
 
 def theory_to_program_syn(
-    t: Theory,
-    simplify: bool = False,
-    trace: RewriteTrace | None = None,
-    cap: int = DEFAULT_CAP,
+    t: Theory, simplify: bool = False, trace: RewriteTrace | None = None
 ) -> Program:
     """Formula-by-formula syntactic conversion of a theory, unioned.
 
     With simplify=True the whole theory shares one SIMPLIFY_RULE_BUDGET;
     without it, the estimates of all formulas share RAW_RULE_BUDGET.
     """
-    run = _Run.start(t.formulas, simplify, trace, cap)
+    run = _Run.start(t.formulas, simplify, trace)
     rules: dict[Rule, None] = {}
     for f in t.formulas:
         rules.update(dict.fromkeys(_convert(eliminate_connectives(f, trace), run)))
@@ -530,15 +522,17 @@ def _false_under(d: Formula, units: dict[Formula, None], negated: set[Formula]) 
     return d in negated or (_is_negation(d) and d.antecedent in units)
 
 
-def _simplify_head(combo: tuple[Formula, ...], head: Formula, run: _Run) -> Rule | None:
+def _simplify_head(combo: tuple[Formula, ...], head: Formula) -> Rule | None:
     """The cleaned-up rule for one body branch, None when the branch is
     contradictory or the rule tautological."""
-    units = dict.fromkeys(combo)
+    units = dict.fromkeys(u for c in combo for u in _operands(c, And))
     negated = {u.antecedent for u in units if _is_negation(u)}
     if not negated.isdisjoint(units):
         return None  # u and ~u in the body
     kept: dict[Formula, None] = {}
-    for d in _flatten_or(head):
+    todo = _flatten_or(head)[::-1]
+    while todo:
+        d = todo.pop()
         if _false_under(d, units, negated):
             continue
         if type(d) is And:
@@ -546,6 +540,9 @@ def _simplify_head(combo: tuple[Formula, ...], head: Formula, run: _Run) -> Rule
             if any(_false_under(c, units, negated) for c in rest):
                 continue
             d = conj(rest)  # top when the body implies every conjunct
+            if type(d) is Or:  # the one conjunct left is a disjunction
+                todo += _flatten_or(d)[::-1]
+                continue
         if _is_top(d) or d in units:
             return None  # a head disjunct that is top or a body unit
         kept[d] = None
@@ -555,15 +552,7 @@ def _simplify_head(combo: tuple[Formula, ...], head: Formula, run: _Run) -> Rule
                 c.antecedent.antecedent in units or c.antecedent in kept)
                for c in (_operands(d, And) if type(d) is And else (d,))):
             return None
-    rule = Rule(conj(units), disj(kept))
-    if any(_is_negation(d) and type(d.antecedent) is Atom and d.antecedent in kept
-           for d in kept):  # an atom and its negation in the head
-        try:
-            if ht_valid(rule.to_formula(), run.cap):
-                return None
-        except CapExceededError:
-            pass  # too big to check, keep the rule
-    return rule
+    return Rule(conj(units), disj(kept))
 
 
 def _simplify_sides(
@@ -575,7 +564,7 @@ def _simplify_sides(
         choices = [_flatten_or(factor) for factor in _flatten_and(body)]
         run.spend(math.prod(len(c) for c in choices))
         for combo in itertools.product(*choices):
-            cleaned = _simplify_head(combo, head, run)
+            cleaned = _simplify_head(combo, head)
             if cleaned is not None:
                 results.append(cleaned)
     if run.trace is not None and not (len(results) == 1 and results[0] == r):
@@ -598,8 +587,6 @@ def _deduped(out: list[Rule], run: _Run) -> tuple[Rule, ...]:
     return deduped
 
 
-def simplify(
-    p: Program, cap: int = DEFAULT_CAP, trace: RewriteTrace | None = None
-) -> Program:
+def simplify(p: Program, trace: RewriteTrace | None = None) -> Program:
     """Equivalence-preserving cleanup; never changes the model set."""
-    return Program(_simplify_rules(tuple(p.rules), _Run(trace, cap)), p.signature)
+    return Program(_simplify_rules(tuple(p.rules), _Run(trace)), p.signature)

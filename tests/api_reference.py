@@ -45,7 +45,7 @@ def implication_of_programs(
     p1: Program, p2: Program, trace: Optional[RewriteTrace] = None
 ) -> Program:
     """A program equivalent to (conjunction of p1) -> (conjunction of p2)."""
-    rules = _implication(tuple(p1.rules), tuple(p2.rules), _Run(trace, DEFAULT_CAP))
+    rules = _implication(tuple(p1.rules), tuple(p2.rules), _Run(trace))
     return Program(rules, p1.signature | p2.signature)
 
 

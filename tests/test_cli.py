@@ -482,6 +482,15 @@ class TestErrors:
         assert code == 3
         assert "cap of 2" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--simplify"]], ids=["raw", "simplified"])
+    def test_syntactic_translation_checks_the_cap(self, capsys, formula2_file, flags):
+        # The syntactic path enumerates nothing, so the command checks the cap.
+        code, out, err = run_cli(
+            capsys, "to-program", "--method", "syntactic", *flags, formula2_file, "--cap", "2"
+        )
+        assert code == 3 and out == ""
+        assert "cap of 2" in err
+
     def test_negative_cap_rejected(self, capsys, formula2_file):
         with pytest.raises(SystemExit) as exit_info:
             main(["models", formula2_file, "--cap", "-1"])

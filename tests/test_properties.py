@@ -15,7 +15,6 @@ import ht_reference as ref
 import rewriting_reference
 from htlp import (
     BOT,
-    DEFAULT_CAP,
     TOP,
     And,
     Atom,
@@ -545,7 +544,7 @@ def test_disjunction_of_two_rules(b, h, c, g):
 @given(st.lists(st.builds(Rule, bodies, sides), max_size=3),
        st.lists(st.builds(Rule, bodies, sides), max_size=3))
 def test_disjunction_of_two_programs(rules1, rules2):
-    run = _Run(None, 20, 10_000)
+    run = _Run(None, 10_000)
     rules = _disjunction(tuple(rules1), tuple(rules2), run)
     assert run.spent >= 4 * len(rules1) * len(rules2)
     got, expected = disjunction_models(rules1, rules2, rules)
@@ -553,13 +552,10 @@ def test_disjunction_of_two_programs(rules1, rules2):
 
 
 @fixed
-@given(st.lists(st.builds(Rule, bodies, sides), max_size=3),
-       st.sampled_from((0, 2, DEFAULT_CAP)))
-@example([Rule(And(Atom("a"), Atom("b")), Or(Atom("c"), And(Atom("a"), Atom("b"))))], 2)
-def test_simplify_emits_normalized_sides_at_any_cap(rules, cap):
-    # Below a rule's atom count the validity check cannot run, so an
-    # obvious tautology must be dropped before it.
-    assert_normalized_sides(simplify(Program(tuple(rules)), cap=cap))
+@given(st.lists(st.builds(Rule, bodies, sides), max_size=3))
+@example([Rule(And(Atom("a"), Atom("b")), Or(Atom("c"), And(Atom("a"), Atom("b"))))])
+def test_simplify_emits_normalized_sides(rules):
+    assert_normalized_sides(simplify(Program(tuple(rules))))
 
 
 @fixed

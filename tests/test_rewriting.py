@@ -1,6 +1,9 @@
 """The syntactic transformation path and the simplifier."""
 
+import ast
 import hashlib
+import inspect
+import itertools
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from htlp import (
     TOP,
     And,
     Atom,
+    CapExceededError,
     Formula,
     Implies,
     Or,
@@ -28,6 +32,7 @@ from htlp import (
     formula_to_program_syn,
     ht_equivalent,
     ht_models,
+    ht_valid,
     is_rule,
     neg,
     parse,
@@ -42,6 +47,7 @@ from htlp import rewriting
 from htlp.rewriting import RULE_COUNT_CEILING
 from api_reference import implication_of_programs, lemma1_rewrite
 from conftest import formulas_up_to, single
+import ht_reference as ref
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -402,11 +408,16 @@ class TestSimplify:
     @pytest.mark.parametrize("cap", [0, 1, 2, 3, DEFAULT_CAP])
     @pytest.mark.parametrize("head", [Or(r, And(p, q)), Or(r, p)], ids=["body", "unit"])
     def test_head_holding_the_body_is_dropped_at_every_cap(self, cap, head):
-        # A head disjunct that is top or a body unit makes a tautology
-        # whatever the cap, also below the rule's three atoms, where
-        # ht_valid cannot check it.
-        program = Program((Rule(And(p, q), head),), atoms_of(p, q, r))
-        assert len(simplify(program, cap=cap)) == 0
+        # A head disjunct that is top or a body unit makes a tautology,
+        # which simplify() drops without evaluating it: also below the
+        # rule's three atoms, where ht_valid at that cap cannot check it.
+        rule = Rule(And(p, q), head)
+        assert len(simplify(Program((rule,), atoms_of(p, q, r)))) == 0
+        if cap < 3:
+            with pytest.raises(CapExceededError):
+                ht_valid(rule.to_formula(), cap=cap)
+        else:
+            assert ht_valid(rule.to_formula(), cap=cap)
 
     @pytest.mark.parametrize("text, expected", [
         ("a -> ~a | b", "a -> b"),
@@ -415,6 +426,14 @@ class TestSimplify:
         ("a -> a & b | c", "a -> b | c"),
         ("~a -> ~~a & b | c", "~a -> c"),
         ("a -> a | b", ""),
+        # a body disjunct that is a conjunction splits into units
+        ("(a & b | c) -> a", "c -> a"),
+        ("(a & ~a | b) -> c", "b -> c"),
+        ("(a & b | c) & ~a -> c", ""),
+        ("(b & ~a & ~~a | c) -> a | ~a", "c -> a | ~a"),
+        # a head conjunction left with one disjunction splits into the head
+        ("a -> (b | ~a) & a", "a -> b"),
+        ("a -> c | (a | b) & a", ""),
     ])
     def test_body_units_propagate_into_the_head(self, text, expected):
         # A head disjunct, or a conjunct of one, that the body makes false
@@ -440,6 +459,26 @@ class TestSimplify:
     def test_double_negations_of_other_formulas_are_kept(self, text):
         program = Program((Rule.from_formula(parse(text)),))
         assert program_to_text(simplify(program)) == text
+
+    def test_syntax_decides_validity_of_nonnested_rules(self):
+        # A nonnested rule over {a, b} is six sets of atoms: those that
+        # occur as x, ~x and ~~x in its body and in its head.  Without
+        # evaluating any rule, the simplifier drops exactly the valid ones.
+        a, b = Atom("a"), Atom("b")
+        sig = atoms_of(a, b)
+        literals = (lambda x: x, neg, lambda x: neg(neg(x)))
+        subsets = [(), (a,), (b,), (a, b)]
+        mismatched = []
+        for sets in itertools.product(subsets, repeat=6):
+            body, head = (
+                [literal(x) for literal, xs in zip(literals, part) for x in xs]
+                for part in (sets[:3], sets[3:])
+            )
+            rule = Rule(conj(body), disj(head))
+            dropped = len(simplify(Program((rule,), sig))) == 0
+            if dropped != ref.valid(rule.to_formula(), sig):
+                mismatched.append(rule_to_text(rule))
+        assert mismatched == []
 
     def test_classically_valid_head_is_kept_when_not_ht_valid(self):
         program = program_of("p | ~p")
@@ -468,20 +507,30 @@ class TestByteIdentity:
     """SHA-256 digests of the syntactic translation's outputs, so that a
     change to the simplifier's internals keeps them byte-identical.
 
-    Per formula: the simplified program's text, the rules and branches its
-    run spent, its trace lines, and, within RAW_RULE_BUDGET, the text of
-    simplify() of the raw program; a budget error's message in place of a
-    program.
+    Two digests per corpus.  The translation digest covers, per formula,
+    the simplified program's text, the rules and branches its run spent
+    and its trace lines.  The cleanup digest covers simplify() of the raw
+    program within RAW_RULE_BUDGET.  A budget error's message stands in
+    for a program.
     """
 
     DIGESTS = {
-        "corpus_depth2": "695de1fa173cb6597fa28f39e878fb2681227e4b15ca819c5ef7cd6f07ab5200",
-        "corpus_depth3": "ee467ad09255803c5a06c6b2538d77c5e951e89155e5074ed1d34c063400295e",
-        "paper": "deea3f0329db77dcc72f40b73c8b1a9a2c6da6ddcc6b25df4485fc7ce3c962f2",
+        "corpus_depth2": {
+            "translation": "d064ab6eabf8d9e7ee93eb137ace2c616331944b3596066f6ab43ef451c9e14b",
+            "cleanup": "7df5467a22aa6e4177966696851f6d46c0fe4166e35ca1dcde1ea7fbc3d7116c",
+        },
+        "corpus_depth3": {
+            "translation": "7c5fe5a8cbc8c1f34ae7acbaaf5d7fc1751e191a1123ab01e9d8252c08b88ef6",
+            "cleanup": "13f489822e9f9eb3b621bb34b59b9f2061d2e151741291a97f5b312aeb7325a0",
+        },
+        "paper": {
+            "translation": "4b2a986c0d31064b84f65ef2d61c591998a5ebb1960d1391bc0356ef638e9ced",
+            "cleanup": "2bd63e029f5d876a48dc50eb28121eb5f6b8aecb4f699c0d4ac8577e1a653cb5",
+        },
     }
 
     @staticmethod
-    def lines(f, runs):
+    def translation_lines(f, runs):
         yield f"FORMULA {to_text(f)}"
         trace = RewriteTrace()
         try:
@@ -490,6 +539,10 @@ class TestByteIdentity:
             yield f"simplified: {error}"
         yield f"spent {runs[-1].spent}"
         yield from trace.lines()
+
+    @staticmethod
+    def cleanup_lines(f):
+        yield f"FORMULA {to_text(f)}"
         try:
             raw = formula_to_program_syn(f)
         except RuleBudgetExceededError as error:
@@ -511,11 +564,36 @@ class TestByteIdentity:
             return runs[-1]
 
         monkeypatch.setattr(rewriting._Run, "start", classmethod(recording_start))
-        digest = hashlib.sha256()
+        translation, cleanup = hashlib.sha256(), hashlib.sha256()
         for f in formulas:
-            for line in self.lines(f, runs):
-                digest.update(line.encode("utf-8") + b"\n")
-        assert digest.hexdigest() == self.DIGESTS[corpus]
+            for line in self.translation_lines(f, runs):
+                translation.update(line.encode("utf-8") + b"\n")
+            for line in self.cleanup_lines(f):
+                cleanup.update(line.encode("utf-8") + b"\n")
+        got = {"translation": translation.hexdigest(), "cleanup": cleanup.hexdigest()}
+        assert got == self.DIGESTS[corpus]
+
+
+class TestLayering:
+    """The syntactic path builds on the formula layer alone."""
+
+    def test_rewriting_imports_only_the_formula_module(self):
+        tree = ast.parse(inspect.getsource(rewriting))
+        relative, absolute = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                (relative if node.level else absolute).add(node.module)
+            elif isinstance(node, ast.Import):
+                absolute.update(alias.name for alias in node.names)
+        assert relative == {"formula"}
+        assert not any(name.split(".")[0] == "htlp" for name in absolute)
+
+    @pytest.mark.parametrize(
+        "entry", [formula_to_program_syn, theory_to_program_syn, simplify],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_entry_points_take_no_cap(self, entry):
+        assert "cap" not in inspect.signature(entry).parameters
 
 
 class TestTrace:
