@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except RecursionError:  # the parser and printers recurse on nesting
+    except RecursionError:  # hashing, normalizing and printing recurse on nesting
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE_ERROR
 

@@ -581,8 +581,8 @@ def _chain(f: And | Or) -> tuple[str, list[Formula]]:
     return (" & " if kind is And else " | "), [f] + operands[::-1]
 
 
-# Binding strengths used by the printer; parenthesize a subterm
-# whenever its own strength is below what the context requires.
+# Binding strengths used by the printer and the parser; parenthesize a
+# subterm whenever its own strength is below what the context requires.
 _PREC_IMPLIES = 1
 _PREC_OR = 2
 _PREC_AND = 3

@@ -1,7 +1,8 @@
 """Tokenizer and parser for the formula text grammar.
 
 Grammar, loosest binding first (`->` is right-associative, `&` and `|`
-left-associative, `~` binds tightest):
+left-associative, `~` binds tightest), read by one operator-precedence
+loop with explicit stacks, so any depth of nesting parses:
 
     formula     := implication ('<->' formula)?
     implication := disjunction ('->' implication)?
@@ -20,6 +21,9 @@ from __future__ import annotations
 import re
 
 from .formula import (
+    _PREC_AND,
+    _PREC_IMPLIES,
+    _PREC_OR,
     BOT,
     TOP,
     And,
@@ -109,93 +113,77 @@ def tokenize(text: str, start_line: int = 1) -> list[Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+# Each binary connective's binding strength (the printer's, with '<->' one
+# level looser than '->'), whether it groups to the right, and its node.
+_LOOSEST = _PREC_IMPLIES - 1
+_BINARY = {
+    "iff": (_LOOSEST, True, iff),
+    "implies": (_PREC_IMPLIES, True, Implies),
+    "or": (_PREC_OR, False, Or),
+    "and": (_PREC_AND, False, And),
+}
+_CONSTANTS = {"bot": BOT, "top": TOP}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek().kind == "iff":
-            self.advance()
-            return iff(left, self.formula())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "implies":
-            self.advance()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek().kind == "or":
-            self.advance()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.negation()
-        while self.peek().kind == "and":
-            self.advance()
-            left = And(left, self.negation())
-        return left
-
-    def negation(self) -> Formula:
-        if self.peek().kind == "neg":
-            self.advance()
-            return neg(self.negation())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        token = self.peek()
-        if token.kind == "atom":
-            self.advance()
-            return Atom(token.text)
-        if token.kind == "bot":
-            self.advance()
-            return BOT
-        if token.kind == "top":
-            self.advance()
-            return TOP
-        if token.kind == "lparen":
-            self.advance()
-            inner = self.formula()
-            closing = self.peek()
-            if closing.kind != "rparen":
-                raise ParseError(
-                    f"unbalanced parenthesis at {closing.text!r}" if closing.text
-                    else "unbalanced parenthesis at end of input",
-                    closing.line, closing.column, ("')'",),
-                )
-            self.advance()
-            return inner
-        raise ParseError(
-            f"unexpected {token.text!r}" if token.text else "unexpected end of input",
-            token.line, token.column, _PRIMARY_EXPECTED,
-        )
+def _reduce(operands: list[Formula], pending: list[str], strength: int) -> None:
+    """Apply the pending binary connectives that bind at least `strength`."""
+    while pending and (entry := _BINARY.get(pending[-1])) and entry[0] >= strength:
+        pending.pop()
+        right = operands.pop()
+        operands[-1] = entry[2](operands[-1], right)
 
 
 def parse(text: str, start_line: int = 1) -> Formula:
     """Parse a single formula; derived connectives are stored expanded."""
-    parser = _Parser(tokenize(text, start_line))
-    result = parser.formula()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(
-            f"trailing input {trailing.text!r}", trailing.line, trailing.column,
-            ("end of input", "'&'", "'|'", "'->'", "'<->'"),
-        )
-    return result
+    operands: list[Formula] = []
+    pending: list[str] = []  # '(', '~' and binary connectives, innermost last
+    expect_operand = True
+    for token in tokenize(text, start_line):
+        kind = token.kind
+        if expect_operand:
+            if kind == "neg" or kind == "lparen":
+                pending.append(kind)
+                continue
+            if kind == "atom":
+                operand = Atom(token.text)
+            elif kind in _CONSTANTS:
+                operand = _CONSTANTS[kind]
+            else:
+                raise ParseError(
+                    f"unexpected {token.text!r}" if token.text
+                    else "unexpected end of input",
+                    token.line, token.column, _PRIMARY_EXPECTED,
+                )
+        elif kind in _BINARY:
+            strength, right, _ = _BINARY[kind]
+            _reduce(operands, pending, strength + right)  # to the right: equals wait
+            pending.append(kind)
+            expect_operand = True
+            continue
+        else:  # the operand so far is complete up to the innermost '('
+            _reduce(operands, pending, _LOOSEST)
+            if kind == "rparen" and pending:
+                pending.pop()
+                operand = operands.pop()
+            elif pending:
+                raise ParseError(
+                    f"unbalanced parenthesis at {token.text!r}" if token.text
+                    else "unbalanced parenthesis at end of input",
+                    token.line, token.column, ("')'",),
+                )
+            elif kind == "end":
+                break
+            else:
+                raise ParseError(
+                    f"trailing input {token.text!r}", token.line, token.column,
+                    ("end of input", "'&'", "'|'", "'->'", "'<->'"),
+                )
+        while pending and pending[-1] == "neg":  # each '~' whose operand is whole
+            pending.pop()
+            operand = neg(operand)
+        operands.append(operand)
+        expect_operand = False
+    return operands.pop()
 
 
 def parse_theory(text: str, signature: Signature | None = None) -> Theory:
@@ -206,7 +194,9 @@ def parse_theory(text: str, signature: Signature | None = None) -> Theory:
     """
     formulas: list[Formula] = []
     extra: set[str] = set(signature) if signature is not None else set()
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    # Lines end at '\n' alone, as in tokenize: splitlines would also break at
+    # characters the tokenizer rejects, such as '\x0c'.
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("%", 1)[0]
         stripped = line.strip()
         if not stripped:

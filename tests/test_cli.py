@@ -402,10 +402,23 @@ class TestErrors:
         "command", [["models"], ["to-program", "--method", "syntactic"], ["to-dnf"]]
     )
     def test_deep_nesting_exit_2(self, capsys, tmp_path, command, shape):
+        """Chains of ~ and -> exit 2: loading a theory hashes its formulas,
+        which recurses.  Parentheses leave no nesting behind, so the file
+        reads as the bare atom."""
         path = write(tmp_path, "deep.lp", DEEP_INPUTS[shape])
-        code, _, err = run_cli(capsys, *command, path)
+        code, out, err = run_cli(capsys, *command, path)
+        if shape == "parentheses":
+            bare = write(tmp_path, "bare.lp", "a\n")
+            assert code == 0
+            assert (code, out, err) == run_cli(capsys, *command, bare)
+            return
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("shape", ["implications", "negations"])
+    def test_deep_chain_equivalent_to_itself(self, capsys, tmp_path, shape):
+        path = write(tmp_path, "deep.lp", DEEP_INPUTS[shape])
+        assert run_cli(capsys, "check-equiv", path, path) == (0, "EQUIVALENT\n", "")
 
     @pytest.mark.parametrize(
         "text", ["p | q | r", "((a|b)->(c|d))->((b|c)->(d|a))"]
@@ -471,6 +484,18 @@ class TestErrors:
         code, _, err = run_cli(capsys, "models", path)
         assert code == 2
         assert "column" in err and "bad.lp" in err
+
+    def test_form_feed_is_no_line_break(self, capsys, tmp_path):
+        path = write(tmp_path, "feed.lp", "a\x0cb\n")
+        code, out, err = run_cli(capsys, "models", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: line 1, column 2: unexpected character")
+
+    def test_crlf_file(self, capsys, tmp_path):
+        (tmp_path / "crlf.lp").write_bytes(FORMULA2.replace("\n", "\r\n").encode())
+        assert run_cli(capsys, "models", str(tmp_path / "crlf.lp")) == run_cli(
+            capsys, "models", write(tmp_path, "lf.lp", FORMULA2)
+        )
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "models", "nowhere.lp")

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import sys
 import threading
 import time
 
@@ -112,6 +113,33 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_theory("p\nq ->\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("text", ["a\x0bb", "a\x0cb\nc ->"])
+    def test_theory_lines_end_only_at_newlines(self, text):
+        """Other line breaks of str.splitlines are characters the tokenizer rejects."""
+        with pytest.raises(ParseError) as err:
+            parse_theory(text)
+        assert (err.value.line, err.value.column) == (1, 2)
+        assert "unexpected character" in str(err.value)
+
+    def test_crlf_theory(self):
+        assert parse_theory("p -> q\r\n\r\nr\r\n").formulas == (Implies(p, q), r)
+
+    def test_any_depth_parses(self):
+        """Past the interpreter's recursion limit: the parser keeps explicit stacks."""
+        depth = 20_000
+        assert sys.getrecursionlimit() < depth
+        assert parse("(" * depth + "p" + ")" * depth) == p
+        f = parse("~" * depth + "p")
+        for _ in range(depth):
+            assert type(f) is Implies and f.consequent == BOT
+            f = f.antecedent
+        assert f == p
+        f = parse(" -> ".join(["p"] * (depth + 1)))
+        for _ in range(depth):
+            assert type(f) is Implies and f.antecedent == p
+            f = f.consequent
+        assert f == p
 
 
 class TestTheoryFiles:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import countermodel_reference
 import formula_reference
 import ht_reference as ref
+import parser_reference
 import rewriting_reference
 from htlp import (
     BOT,
@@ -24,6 +25,7 @@ from htlp import (
     InterpretationSet,
     NotTotalClosedError,
     Or,
+    ParseError,
     Program,
     Rule,
     RuleBudgetExceededError,
@@ -762,3 +764,33 @@ def test_an_encoded_disjunction_is_walked_as_one(f):
     # formula it was eliminated from.
     walked = list(_postorder(eliminate_connectives(f), _encoded_disjunction))
     assert walked == formula_reference.postorder(f)
+
+
+#: Every token kind, comments, line breaks, and characters the tokenizer rejects.
+TEXT_PIECES = ("a", "b", "not", "bot", "top", "~", "(", ")", "&", "|", "->", "<->",
+               "%", "\n", " ", "$", "A")
+pieces = st.sampled_from(TEXT_PIECES)
+
+
+def parsed(parse_fn, text):
+    """parse_fn's tree, or the message, line, column and expected kinds of its error."""
+    try:
+        return parse_fn(text)
+    except ParseError as error:
+        return (str(error), error.line, error.column, error.expected)
+
+
+@settings(fixed, max_examples=1000)
+@given(st.lists(pieces, max_size=16).map("".join))
+def test_parse_matches_the_recursive_descent_of_random_text(text):
+    assert parsed(parse, text) == parsed(parser_reference.parse, text)
+
+
+@settings(fixed, max_examples=500)
+@given(formulas.map(to_text), pieces, st.data())
+def test_parse_matches_the_recursive_descent_of_printed_formulas(text, piece, data):
+    # The printed text parses; one inserted piece mostly breaks it, somewhere.
+    assert parsed(parse, text) == parsed(parser_reference.parse, text)
+    at = data.draw(st.integers(0, len(text)))
+    text = text[:at] + piece + text[at:]
+    assert parsed(parse, text) == parsed(parser_reference.parse, text)
