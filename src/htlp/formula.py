@@ -13,24 +13,27 @@ expressions, and a *program* is a set of rules.  Bare nested expressions
 count as rules with body top.
 
 Nodes, signatures, rules, theories and programs are immutable values
-(Value), compared and hashed by their fields.  Every constructor checks,
-and copies and pickles are rebuilt through the constructors: the node
-kinds refuse non-formula children, so every tree is well formed, and
-acyclic, which lets _collector_paused pause the cyclic collector.  The
-walks dispatch on the exact node type, so the node kinds are not meant to
-be subclassed.  Two walks use an explicit stack, so no depth is too deep:
-_postorder, which the evaluator, the raw rule count and the syntactic
-translation fold over, and _operands, the leaves of an & or | chain, which
-the nonnested check and the simplifier read.
+(Value).  The leaves are interned: Atom(name) returns the one atom of that
+name and Bottom() returns BOT, so they compare and hash by identity; the
+binary nodes and the rest compare and hash by their fields.  Every
+constructor checks, and copies and pickles are rebuilt through the
+constructors: the node kinds refuse non-formula children, so every tree
+is well formed, and acyclic, which lets _collector_paused pause the cyclic
+collector.  The walks dispatch on the exact node type, so the node kinds
+are not meant to be subclassed.  Two walks use an explicit stack, so no
+depth is too deep: _postorder, which the evaluator, the raw rule count and
+the syntactic translation fold over, and _operands, the leaves of an & or
+| chain, which the nonnested check and the simplifier read.
 
 Every node also keeps one private int, _bits, which its constructor
 computes from its children's: bit 0 is set when the node is not a nested
 expression, and bit i + 1 when the i-th name of a process-wide atom index
 (numbered in first-seen order) occurs in it.  So the rule checks,
 atoms_of and the signature checks of Theory and Program OR ints instead
-of walking trees.  It costs 8 bytes per node, plus one bit per distinct
-atom name the process has built.  _bits is not a field, so hash, ==
-and repr ignore it, and they still recurse through the tree.
+of walking trees.  It costs 8 bytes per binary node; the index keeps
+each atom name's one Atom, and its bit, for the life of the process.
+_bits is not a field, so hash, == and repr ignore it, and on the binary
+nodes they still recurse through the tree.
 """
 
 from __future__ import annotations
@@ -61,9 +64,10 @@ class Value:
     TypeError.  Subclasses declare __slots__ and, since their own
     __setattr__ raises, set their fields in __init__ with
     object.__setattr__, or where construction is hot with the slot
-    descriptors' __set__.  The node kinds and Rule spell __eq__ and
-    __hash__ out over their fields: trees are hashed and compared node by
-    node, where the generic methods cost about twice as much.
+    descriptors' __set__.  The leaves are interned and compare and hash
+    by identity; the binary nodes and Rule spell __eq__ and __hash__ out
+    over their fields: trees are hashed and compared node by node, where
+    the generic methods cost about twice as much.
     """
 
     __slots__ = ()
@@ -102,6 +106,9 @@ class Formula(Value):
     """Base class of the five syntax-tree node kinds."""
 
     __slots__ = ("_bits",)
+    # The leaves are interned, so identity is their equality; _Binary
+    # compares its fields.
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __repr__(self) -> str:
         return to_text(self)
@@ -110,42 +117,33 @@ class Formula(Value):
 class Bottom(Formula):
     __slots__ = ()
 
-    def __init__(self) -> None:
-        _set_bits(self, 0)  # no atoms, and nested
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self) -> int:
-        return hash(())
+    def __new__(cls) -> Bottom:
+        return BOT
 
 
 class Atom(Formula):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
+    def __new__(cls, name: str) -> Atom:
         # Only valid names are indexed, so an indexed one skips the check.
-        bit = _ATOM_BITS.get(name) if type(name) is str else None
-        if bit is None:
+        atom = _ATOMS.get(name) if type(name) is str else None
+        if atom is None:
             if not is_valid_atom_name(name):
                 raise ValueError(f"invalid atom name: {name!r}")
-            bit = _index_atom(name)
-        _set_name(self, name)
-        _set_bits(self, bit)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
+            with _INDEX_LOCK:
+                atom = _ATOMS.get(name)
+                if atom is None:
+                    atom = object.__new__(cls)
+                    _set_name(atom, name)
+                    _INDEXED.append(name)
+                    _set_bits(atom, 1 << len(_INDEXED))
+                    _ATOMS[name] = atom
+        return atom
 
 
 class _Binary(Formula):
-    """The fields and methods And and Or share; not a node kind itself."""
+    """The fields and methods And, Or and Implies share, __eq__ and __hash__
+    spelt out over the two children; not a node kind itself."""
 
     __slots__ = __match_args__ = ("left", "right")
 
@@ -174,47 +172,33 @@ class Or(_Binary):
     __slots__ = ()
 
 
-class Implies(Formula):
-    __slots__ = __match_args__ = ("antecedent", "consequent")
+class Implies(_Binary):
+    __slots__ = ()
+    __match_args__ = ("antecedent", "consequent")
+    antecedent, consequent = _Binary.left, _Binary.right
 
     def __init__(self, antecedent: Formula, consequent: Formula) -> None:
-        _set_antecedent(self, antecedent)
-        _set_consequent(self, consequent)
+        _set_left(self, antecedent)
+        _set_right(self, consequent)
         try:  # a nested expression only when a negation
-            bits = antecedent._bits | consequent._bits | (type(consequent) is not Bottom)
+            bits = antecedent._bits | consequent._bits | (consequent is not BOT)
         except (AttributeError, TypeError):
             raise _not_a_formula(antecedent, consequent) from None
         _set_bits(self, bits)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.antecedent, self.consequent) == (other.antecedent, other.consequent)
-
-    def __hash__(self) -> int:
-        return hash((self.antecedent, self.consequent))
 
 
 # The slot descriptors' setters, the cheapest way past Value.__setattr__.
 _set_bits, _set_name = Formula._bits.__set__, Atom.name.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
-_set_antecedent, _set_consequent = Implies.antecedent.__set__, Implies.consequent.__set__
 
-# The process-wide atom index: each name's bit, and the names by bit
-# position minus one.  Only _index_atom adds to them, under the lock.
-_ATOM_BITS: dict[str, int] = {}
+# The process-wide atom index: the one atom of each name, and the names by
+# bit position minus one.  Only Atom adds to them, under the lock.
+_ATOMS: dict[str, Atom] = {}
 _INDEXED: list[str] = []
 _INDEX_LOCK = threading.Lock()
 
-
-def _index_atom(name: str) -> int:
-    """name's bit, adding name to the atom index on first sight."""
-    with _INDEX_LOCK:
-        bit = _ATOM_BITS.get(name)
-        if bit is None:
-            _INDEXED.append(name)
-            bit = _ATOM_BITS[name] = 1 << len(_INDEXED)
-        return bit
+BOT = object.__new__(Bottom)
+_set_bits(BOT, 0)  # no atoms, and nested
 
 
 def _not_a_formula(*values: object) -> TypeError:
@@ -234,17 +218,12 @@ def _names(bits: int) -> set[str]:
     return names
 
 
-BOT = Bottom()
 TOP = Implies(BOT, BOT)
 
 
 def _is_top(f: object) -> bool:
-    """f == TOP, by node type: no field-by-field comparison."""
-    return (
-        type(f) is Implies
-        and type(f.antecedent) is Bottom
-        and type(f.consequent) is Bottom
-    )
+    """f == TOP, by the one BOT: no field-by-field comparison."""
+    return type(f) is Implies and f.antecedent is BOT and f.consequent is BOT
 
 
 def _postorder(f: Formula, as_or: Callable | None = None) -> list:
@@ -258,11 +237,9 @@ def _postorder(f: Formula, as_or: Callable | None = None) -> list:
     while todo:
         node = todo.pop()
         kind = type(node)
-        if kind is Implies:
-            todo += (Implies, node.consequent, node.antecedent)
-        elif kind is And and as_or is not None and (pair := as_or(node)):
+        if kind is And and as_or is not None and (pair := as_or(node)):
             todo += (Or, pair[1], pair[0])
-        elif kind is And or kind is Or:
+        elif kind is Implies or kind is And or kind is Or:
             todo += (kind, node.right, node.left)
         else:  # an atom, a bot or a kind whose operands are done
             out.append(node)
@@ -412,12 +389,8 @@ def is_nested_expression(f: Formula) -> bool:
 
 def is_literal(f: Formula) -> bool:
     """An atom or a negated atom."""
-    if type(f) is Atom:
-        return True
-    return (
-        type(f) is Implies
-        and type(f.consequent) is Bottom
-        and type(f.antecedent) is Atom
+    return type(f) is Atom or (
+        type(f) is Implies and f.consequent is BOT and type(f.antecedent) is Atom
     )
 
 
@@ -456,7 +429,7 @@ def is_nonnested_rule(f: Formula) -> bool:
         return False
     body, head = split
     body_ok = _is_top(body) or all(map(is_literal, _operands(body, And)))
-    return body_ok and (type(head) is Bottom or all(map(is_literal, _operands(head, Or))))
+    return body_ok and (head is BOT or all(map(is_literal, _operands(head, Or))))
 
 
 class Rule(Value):
@@ -595,10 +568,10 @@ def _sugared(f: Formula, context: int) -> str:
         return f.name
     if kind is Implies:
         antecedent = f.antecedent
-        if type(f.consequent) is Bottom:  # ~a, top, then any other negation
+        if f.consequent is BOT:  # ~a, top, then any other negation
             if type(antecedent) is Atom:
                 return "~" + antecedent.name
-            if type(antecedent) is Bottom:
+            if antecedent is BOT:
                 return "top"
             return "~" + _sugared(antecedent, _PREC_NEG)
         text = (

@@ -194,19 +194,19 @@ def parse_theory(text: str, signature: Signature | None = None) -> Theory:
     """
     formulas: list[Formula] = []
     extra: set[str] = set(signature) if signature is not None else set()
-    # Lines end at '\n' alone, as in tokenize: splitlines would also break at
-    # characters the tokenizer rejects, such as '\x0c'.
+    # Lines end at '\n' alone and blanks are ' ', '\t' and '\r', as in
+    # tokenize: str.splitlines, strip and split would also take characters
+    # the tokenizer rejects, such as '\x0c', for line breaks or blanks.
     for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("%", 1)[0]
-        stripped = line.strip()
+        stripped = line.strip(" \t\r")
         if not stripped:
             continue
         if stripped.startswith("#"):
-            fields = stripped[1:].split()
+            fields = re.findall(r"[^ \t\r]+", stripped[1:])
             if not fields or fields[0] != "signature":
-                raise ParseError(
-                    f"unknown directive {stripped.split()[0]!r}", lineno, 1
-                )
+                directive = re.match(r"#[^ \t\r]*", stripped).group()
+                raise ParseError(f"unknown directive {directive!r}", lineno, 1)
             for name in fields[1:]:
                 if not is_valid_atom_name(name):
                     raise ParseError(

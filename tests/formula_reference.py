@@ -21,6 +21,20 @@ def is_nested_expression(f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def same_tree(f: Formula, g: Formula) -> bool:
+    """f and g have the same node kinds and atom names, node by node: the
+    structural equality that == and hash must agree with."""
+    if type(f) is not type(g):
+        return False
+    if isinstance(f, Atom):
+        return f.name == g.name
+    if isinstance(f, (And, Or)):
+        return same_tree(f.left, g.left) and same_tree(f.right, g.right)
+    if isinstance(f, Implies):
+        return same_tree(f.antecedent, g.antecedent) and same_tree(f.consequent, g.consequent)
+    return isinstance(f, Bottom)
+
+
 def postorder(f: Formula) -> list:
     """f's atoms and bots, and each other node's class after its operands."""
     if isinstance(f, (Atom, Bottom)):

@@ -160,6 +160,17 @@ class TestTheoryFiles:
         with pytest.raises(ParseError):
             parse_theory("#signature Bad\n")
 
+    def test_blanks_are_the_tokenizer_whitespace(self):
+        """A line of other whitespace is no blank line, and no separator in a header."""
+        with pytest.raises(ParseError, match=r"unexpected character '\\x0c'") as err:
+            parse_theory("a\n\x0c\n#signature b\x0cc d\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+        with pytest.raises(ParseError, match=r"invalid atom name 'b\\x0cc' in #signature") as err:
+            parse_theory("a\n#signature b\x0cc d\n")
+        assert err.value.line == 2
+        t = parse_theory(" \t\r\n#\tsignature\tb \r\n# signature c\na\r\n")
+        assert t.formulas == (Atom("a"),) and list(t.signature) == ["a", "b", "c"]
+
 
 class TestPrint:
     def test_sugared_folds(self):
@@ -470,13 +481,14 @@ class TestNodeValues:
 
     def test_independent_builds_are_equal(self):
         for first, second in zip(_node_kinds(), _node_kinds()):
-            assert first is not second or first is BOT
+            assert first is not second or type(first) in (Atom, formula.Bottom)
             assert first == second and hash(first) == hash(second)
 
     def test_equal_only_to_the_same_class_and_fields(self):
         a, b = Atom("a"), Atom("b")
         assert And(a, b) != Or(a, b) and And(a, b) != And(b, a)
         assert Rule(a, b) != Implies(a, b) and Atom("a") != "a"
+        assert Implies(a, b) != And(a, b) and Implies(a, b) != Or(a, b)
         assert ProgramCount(2, 162) != ProgramCount(2, 163)
         assert EquivalenceResult(True) == EquivalenceResult(equivalent=True, witness=None)
 
@@ -492,6 +504,55 @@ class TestNodeValues:
     def test_atom_name_still_checked(self):
         with pytest.raises(ValueError, match="invalid atom name"):
             Atom("1x")
+
+
+class TestInternedLeaves:
+    def test_one_atom_per_name_and_one_bot(self):
+        assert Atom("a") is Atom("a") is Atom(name="a")
+        assert Atom("a") is not Atom("b")
+        assert formula.Bottom() is BOT and formula.Bottom() is formula.Bottom()
+        assert parse("a & bot").left is Atom("a") and parse("a & bot").right is BOT
+
+    @pytest.mark.parametrize("leaf", [BOT, Atom("a")], ids=["Bottom", "Atom"])
+    def test_copies_and_pickles_are_the_leaf_itself(self, leaf):
+        assert copy.copy(leaf) is leaf
+        assert copy.deepcopy(leaf) is leaf
+        assert pickle.loads(pickle.dumps(leaf)) is leaf
+        twin = copy.deepcopy(And(leaf, neg(leaf)))
+        assert twin.left is leaf and twin.right.antecedent is leaf
+
+    def test_leaves_compare_and_hash_by_identity(self):
+        a = Atom("a")
+        assert a == a and hash(a) == object.__hash__(a)
+        assert BOT == BOT and hash(BOT) == object.__hash__(BOT)
+        assert a != BOT and a != Atom("b") and a != "a" and BOT != ()
+
+    def test_one_fresh_name_from_several_threads_gets_one_atom(self):
+        start = threading.Barrier(8)
+        built: list[Atom | None] = [None] * 8
+        name = "threads_share_this_atom"
+        assert name not in formula._INDEXED
+
+        def build(k: int) -> None:
+            start.wait()
+            built[k] = Atom(name)
+
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        # Every thread that registers the name yields just after appending
+        # it, so registering without the lock would build a second atom.
+        indexed = formula._INDEXED
+        slow = formula._INDEXED = _YieldingList(indexed)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            indexed.extend(slow[len(indexed):])
+            formula._INDEXED = indexed
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(atom is built[0] for atom in built) and built[0] is Atom(name)
+        assert indexed.count(name) == 1
 
 
 class _YieldingList(list):

@@ -570,6 +570,25 @@ def test_simplify_leaves_countermodel_programs_unchanged(t):
 
 
 @fixed
+@given(formulas, formulas)
+@example(Atom("a"), Atom("a"))
+@example(BOT, BOT)
+@example(neg(Atom("a")), Implies(Atom("a"), BOT))
+@example(And(Atom("a"), Atom("b")), And(Atom("a"), Atom("b")))
+@example(And(Atom("a"), Atom("b")), Or(Atom("a"), Atom("b")))
+@example(Implies(Atom("a"), Atom("b")), And(Atom("a"), Atom("b")))
+def test_equality_and_hash_agree_with_the_structure(f, g):
+    # An independent build: fresh binary nodes over the interned leaves.
+    twin = parse(to_text(f))
+    assert formula_reference.same_tree(twin, f)
+    assert twin == f and not twin != f and hash(twin) == hash(f)
+    same = formula_reference.same_tree(f, g)
+    assert (f == g) == same and (f != g) == (not same) and (g == f) == same
+    if same:
+        assert hash(f) == hash(g)
+
+
+@fixed
 @given(formulas)
 def test_printer_round_trip(f):
     assert parse(to_text(f)) == f
