@@ -40,7 +40,6 @@ from .semantics import (
     DEFAULT_CAP,
     CapExceededError,
     HtInterpretation,
-    _models_and_countermodels,
     equilibrium_models,
     format_atom_set,
     ht_countermodels,
@@ -206,10 +205,9 @@ def _emit_structured(args: argparse.Namespace, sig: Signature, results: dict,
 def _cmd_model_listing(args: argparse.Namespace) -> int:
     theory = _load_theory(args)
     if args.fmt == "structured":
-        models, countermodels = _models_and_countermodels(theory, args.cap)
         _emit_structured(args, theory.signature, {
-            "models": [_interp_json(m) for m in models],
-            "countermodels": [_interp_json(m) for m in countermodels],
+            "models": [_interp_json(m) for m in ht_models(theory, args.cap)],
+            "countermodels": [_interp_json(m) for m in ht_countermodels(theory, args.cap)],
         })
     else:
         compute = ht_models if args.subcommand == "models" else ht_countermodels

@@ -190,7 +190,7 @@ def program_from_set(s: InterpretationSet) -> Program:
 
 def _countermodel_program(t: Theory, cap: int) -> Program:
     space = _space(t.signature, cap)
-    return _program(space, space.full ^ space.theory(t))
+    return _program(space, space.full ^ space.compiled(t))
 
 
 @_collector_paused
@@ -220,7 +220,7 @@ def theory_to_program_cm(
 def theory_to_dnf_clauses(t: Theory, cap: int = DEFAULT_CAP) -> tuple[DnfClause, ...]:
     """One clause per model of t, in canonical model order."""
     space, lits, memo = _space(t.signature, cap), _literal_table(t.signature.atoms), {}
-    table = space.theory(t)
+    table = space.compiled(t)
     return tuple([DnfClause(m, _build(lits, memo, x, y, True))
                   for (x, y), m in zip(space.pairs(table), space.members(table))])
 
@@ -232,4 +232,4 @@ def theory_to_dnf(t: Theory, cap: int = DEFAULT_CAP) -> Formula:
     Equivalent to t in here-and-there, hence strongly equivalent to it.
     """
     space, lits, memo = _space(t.signature, cap), _literal_table(t.signature.atoms), {}
-    return disj([_build(lits, memo, x, y, True) for x, y in space.pairs(space.theory(t))])
+    return disj([_build(lits, memo, x, y, True) for x, y in space.pairs(space.compiled(t))])

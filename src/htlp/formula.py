@@ -30,8 +30,9 @@ computes from its children's: bit 0 is set when the node is not a nested
 expression, and bit i + 1 when the i-th name of a process-wide atom index
 (numbered in first-seen order) occurs in it.  So the rule checks,
 atoms_of and the signature checks of Theory and Program OR ints instead
-of walking trees.  It costs 8 bytes per binary node; the index keeps
-each atom name's one Atom, and its bit, for the life of the process.
+of walking trees.  It costs 8 bytes per node, and past 256 (about the 8th
+indexed atom) 32 more per binary node: CPython shares no larger int.  The
+index keeps each atom name's one Atom, and its bit, for the life of the process.
 _bits is not a field, so hash, == and repr ignore it, and on the binary
 nodes they still recurse through the tree.
 """
@@ -362,7 +363,8 @@ class Theory(Value):
     larger when supplied explicitly.
     """
 
-    __slots__ = __match_args__ = ("formulas", "signature")
+    __slots__ = ("formulas", "signature", "__weakref__")  # the key of _Space.compiled
+    __match_args__ = ("formulas", "signature")
 
     def __init__(
         self, formulas: Iterable[Formula], signature: Signature | None = None

@@ -30,11 +30,14 @@ gives one checked HtInterpretation per member.  The space of the last
 signature is shared (_space), and it keeps each member it has decoded,
 so every later set over that signature shares the object.  The members
 share one frozenset per atom mask, so the constructor's checks are two
-subset tests and allocate nothing.
+subset tests and allocate nothing.  A space also keeps the last theory
+compiled over it, under a weak reference, and its table (_Space.compiled):
+theories are immutable, and a dropped one is neither kept nor matched.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
@@ -143,7 +146,7 @@ class _Space:
     decoded so far sit in decoded[Y mask], a slot per submask of Y."""
 
     def __init__(self, sig: Signature) -> None:
-        self.signature, self.decoded = sig, {}
+        self.signature, self.decoded, self.last = sig, {}, (lambda: None, 0)
         self.weight = {name: 3**i for i, name in enumerate(sig)}
         # (X, Y) sits at offset[Y mask] + offset[X mask]; names[mask] is the
         # atom set, shared; twos[3^i] marks the positions whose digit i is 2.
@@ -166,6 +169,14 @@ class _Space:
         table = self.full
         for f in t.formulas:
             table &= _tables(f, self)[0]
+        return table
+
+    def compiled(self, t: Theory) -> int:
+        """t's table, compiled unless t is the last theory compiled here."""
+        key, table = self.last  # one read: another thread may replace it
+        if key() is not t:
+            table = self.theory(t)
+            self.last = weakref.ref(t), table
         return table
 
     def project(self, table: int) -> int:
@@ -291,25 +302,13 @@ class InterpretationSet(Value):
 def ht_models(t: Theory, cap: int = DEFAULT_CAP) -> InterpretationSet:
     """The interpretations over t's signature satisfying every formula of t."""
     space = _space(t.signature, cap)
-    return InterpretationSet._of(space, space.theory(t))
+    return InterpretationSet._of(space, space.compiled(t))
 
 
 def ht_countermodels(t: Theory, cap: int = DEFAULT_CAP) -> InterpretationSet:
     """The complement of ht_models; always total-closed."""
     space = _space(t.signature, cap)
-    return InterpretationSet._of(space, space.full ^ space.theory(t))
-
-
-def _models_and_countermodels(
-    t: Theory, cap: int = DEFAULT_CAP
-) -> tuple[InterpretationSet, InterpretationSet]:
-    """ht_models and ht_countermodels of t, from one compiled table."""
-    space = _space(t.signature, cap)
-    models = space.theory(t)
-    return (
-        InterpretationSet._of(space, models),
-        InterpretationSet._of(space, space.full ^ models),
-    )
+    return InterpretationSet._of(space, space.full ^ space.compiled(t))
 
 
 def ht_valid(f: Formula, cap: int = DEFAULT_CAP) -> bool:
@@ -344,7 +343,7 @@ def ht_equivalent(
     interpretation in canonical order.
     """
     space = _space(t1.signature | t2.signature, cap)
-    differ = space.theory(t1) ^ space.theory(t2)
+    differ = space.compiled(t1) ^ space.compiled(t2)
     if not differ:
         return EquivalenceResult(True)
     return EquivalenceResult(False, next(space.members(differ)))
@@ -355,6 +354,6 @@ def equilibrium_models(
 ) -> tuple[frozenset[str], ...]:
     """All Y with (Y, Y) a model of t and no (X, Y), X proper, a model."""
     space = _space(t.signature, cap)
-    models = space.theory(t)
+    models = space.compiled(t)
     stable = models & space.total & ~space.project(models & ~space.total)
     return tuple(space.names[y] for y in space.totals(stable))

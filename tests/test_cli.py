@@ -1,5 +1,6 @@
 """The command-line interface: outputs, formats, exit codes."""
 
+import ast
 import decimal
 import io
 import json
@@ -309,6 +310,29 @@ class TestToDnf:
             dnf, verdict = out.splitlines()
         assert verdict == "VERIFIED"
         assert dnf.count(" | ") == 1457
+
+
+class TestVerifyReusesTheInput:
+    @pytest.mark.parametrize("argv", [
+        ("to-program", "--method", "countermodel", "--verify"),
+        ("to-dnf", "--verify"),
+        ("to-dnf", "--verify", "--annotate"),
+    ], ids=["to-program", "to-dnf", "to-dnf-annotated"])
+    @pytest.mark.parametrize("text", [FORMULA2, SEVEN_ATOMS], ids=["paper", "7-atoms"])
+    def test_input_compiles_once(self, capsys, tmp_path, monkeypatch, argv, text):
+        # The translation compiles the input; the check reads its table
+        # back from the space and compiles only the translated theory.
+        path = write(tmp_path, "theory.lp", text)
+        compiled = []
+        original = semantics._Space.theory
+        monkeypatch.setattr(
+            semantics._Space, "theory",
+            lambda space, t: compiled.append(t) or original(space, t),
+        )
+        code, out, _ = run_cli(capsys, *argv, path)
+        assert (code, out.splitlines()[-1]) == (0, "VERIFIED")
+        assert len(compiled) == 2
+        assert compiled[0] == parse_theory(text) != compiled[1]
 
 
 class TestCheckEquiv:
@@ -622,6 +646,25 @@ print(f"\\nprobe: exit={code} enabled={enabled} parser={parser} unreachable={lef
         assert gc.isenabled()
         assert run_cli(capsys, "models", formula2_file)[0] == 0
         assert gc.isenabled()
+
+
+class TestPublicImports:
+    def test_cli_imports_no_private_name(self):
+        # The CLI is a client of the library: what it needs is public.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "htlp"
+            ):
+                imported += (node.module or "").split(".")
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "htlp":
+                        imported += alias.name.split(".")
+        assert "semantics" in imported
+        assert [name for name in imported if name.startswith("_")] == []
 
 
 class TestStartup:

@@ -196,6 +196,39 @@ def test_equivalence_with_a_near_copy(t, data):
         assert (outcome.witness.here, outcome.witness.there) == witness
 
 
+COMPILING_CALLS = ("models", "countermodels", "equilibrium", "equivalent", "rebuild")
+
+
+@fixed
+@given(st.lists(theories(), min_size=2, max_size=3), st.data())
+def test_compiled_tables_are_never_stale(pool, data):
+    # Each space keeps the table of the last theory compiled over it.
+    # Theories over different signatures evict the shared space, and
+    # ht_equivalent compiles over the union; an equal but distinct copy is
+    # another key, and a rebuilt theory may take a dropped one's address.
+    pool.append(Theory(pool[0].formulas, pool[0].signature))
+    index = st.sampled_from(range(len(pool)))
+    calls = st.tuples(st.sampled_from(COMPILING_CALLS), index, index)
+    for call, i, j in data.draw(st.lists(calls, min_size=4, max_size=12)):
+        t, u = pool[i], pool[j]
+        if call == "models":
+            assert pairs(ht_models(t)) == ref.models(t)
+        elif call == "countermodels":
+            assert pairs(ht_countermodels(t)) == ref.countermodels(t)
+        elif call == "equilibrium":
+            assert list(equilibrium_models(t)) == ref.equilibrium_models(t)
+        elif call == "equivalent":
+            outcome, witness = ht_equivalent(t, u), ref.equivalence_witness(t, u)
+            assert outcome.equivalent == (witness is None)
+            if witness is not None:
+                assert (outcome.witness.here, outcome.witness.there) == witness
+        else:
+            sig, leaves = t.signature, st.sampled_from(t.signature.atoms).map(Atom)
+            fs = tuple(data.draw(st.lists(trees(leaves), min_size=1, max_size=2)))
+            t = u = pool[i] = None
+            pool[i] = Theory(fs, sig)
+
+
 @fixed
 @given(theories())
 def test_decoded_members_equal_their_checked_twins(t):
