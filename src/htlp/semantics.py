@@ -12,7 +12,9 @@ recursion, into Python-int truth tables over the interpretations, "here"
 (the formula holds) and "there" (it holds classically at Y).  & and | act
 on both; F -> G gives there = ~F.there | G.there and here = there &
 (~F.here | G.here), the truth-table form of the here/there-copy reduction
-of HT to classical logic (Pearce, Tompits & Woltran, TPLP 2009).
+of HT to classical logic (Pearce, Tompits & Woltran, TPLP 2009).  When
+G.there is empty, as for F -> bot, both tables are ~F.there: one big-int
+operation per negation.
 
 Layout: digit i (base 3) of a position is 0, 1 or 2 when atom i is
 absent, only "there", or "here"; the n-atom tables are built by tripling
@@ -23,23 +25,35 @@ ordered scans go through the projection of a set onto its total members
 (Y, Y), n shifted ORs, which also give the equilibrium and closure tests.
 The tables have 3^n bits, hence an explicit cap (default 16 atoms).
 
-One walk, _Space.pairs, lists a table's members in canonical order as
-(X, Y) bit masks, which the countermodel and DNF builders read as they
-are.  Decoding a table into an InterpretationSet takes the same walk and
-gives one checked HtInterpretation per member.  The space of the last
-signature is shared (_space), and it keeps each member it has decoded,
-so every later set over that signature shares the object.  The members
-share one frozenset per atom mask, so the constructor's checks are two
-subset tests and allocate nothing.  A space also keeps the last theory
-compiled over it, under a weak reference, and its table (_Space.compiled):
-theories are immutable, and a dropped one is neither kept nor matched.
+A listing goes column by column, the column of Y being its (X, Y).  The
+first listing of a column builds its selector (_Space.column), which the
+space keeps: the submasks X in order, an operator.itemgetter of the byte
+of each position in the table's bytes, and the bit of each position in
+its byte.  itertools.compress then picks the column's members in C, so a
+listing runs no Python code per position once its columns are built.
+Building a selector costs about as much per position as testing the
+position in Python, and keeping it about 60 bytes per position.
+_Space.pairs gives the members as (X, Y) bit masks, which the
+countermodel and DNF builders read as they are.  _Space.members gives
+each as the space's one HtInterpretation of (X, Y): a column keeps a
+slot per position and fills it the first time its member is listed, so
+every later set over that signature shares the object.  A submask pair
+is valid by construction, so the fill skips the constructor's checks;
+the members share one frozenset per atom mask.  An equivalence witness
+or a closure violation decodes its one member, not its column.  The last
+space of each signature size is shared (_space), so the sub-spaces of a
+per-formula translation leave the theory's own space in place.  A space
+also keeps the last theory compiled over it, under a weak reference, and
+its table (_Space.compiled): theories are immutable, and a dropped one
+is neither kept nor matched.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from itertools import compress, repeat
+from operator import and_, itemgetter, rshift
 
 from .formula import (
     And,
@@ -111,11 +125,15 @@ class HtInterpretation(Value):
 _set_here = HtInterpretation.here.__set__
 _set_there = HtInterpretation.there.__set__
 _set_over = HtInterpretation.over.__set__
+_new = object.__new__
 
 
 # --- the evaluator -----------------------------------------------------
 
 _Tables = tuple[int, int]
+_BIT = bytes([1 << i for i in range(8)])  # the bit of each position mod 8 in its byte
+# _ROTATE[k] takes the bit of position p in its byte to that of p + k.
+_ROTATE = [bytes.maketrans(_BIT, _BIT[k:] + _BIT[:k]) for k in range(8)]
 
 
 def _tables(f: Formula, space: _Space) -> _Tables:
@@ -135,18 +153,21 @@ def _tables(f: Formula, space: _Space) -> _Tables:
                 values.append((f_here & g_here, f_there & g_there))
             elif node is Or:
                 values.append((f_here | g_here, f_there | g_there))
+            elif not g_there:  # F -> bot and its kin: both tables are ~F.there
+                there = full ^ f_there
+                values.append((there, there))
             else:
-                there = (~f_there | g_there) & full
-                values.append((there & (~f_here | g_here), there))
+                there = full ^ f_there | g_there
+                values.append(((full ^ f_here | g_here) & there, there))
     return values[0]
 
 
 class _Space:
-    """The 3^n interpretations over a signature, as table positions; those
-    decoded so far sit in decoded[Y mask], a slot per submask of Y."""
+    """The 3^n interpretations over a signature, as table positions; the
+    selector of each column listed so far sits in columns[Y mask]."""
 
     def __init__(self, sig: Signature) -> None:
-        self.signature, self.decoded, self.last = sig, {}, (lambda: None, 0)
+        self.signature, self.columns, self.last = sig, {}, (lambda: None, 0)
         self.weight = {name: 3**i for i, name in enumerate(sig)}
         # (X, Y) sits at offset[Y mask] + offset[X mask]; names[mask] is the
         # atom set, shared; twos[3^i] marks the positions whose digit i is 2.
@@ -164,6 +185,11 @@ class _Space:
         step = self.weight[name]
         here = self.twos[step]
         return here, here | here >> step
+
+    def position(self, m: HtInterpretation) -> int:
+        """The bit of m, an interpretation over the space's signature."""
+        weight = self.weight
+        return sum(weight[a] for a in m.there) + sum(weight[a] for a in m.here)
 
     def theory(self, t: Theory) -> int:
         table = self.full
@@ -187,34 +213,63 @@ class _Space:
 
     def totals(self, table: int) -> Iterator[int]:
         """The masks Y with (Y, Y) in table, ascending."""
-        bits = table.to_bytes(self.size // 8 + 1, "little")
+        bits = self.as_bytes(table)
         for y, base in enumerate(self.offset):
             if bits[base >> 2] >> (2 * base & 7) & 1:  # (Y, Y) is at 2 * base
                 yield y
 
-    def pairs(self, table: int, columns: int | None = None, decode: bool = False) -> Iterator:
-        """table's members in canonical order, from the given totals' columns:
-        each as its masks (x, y), or with decode as the space's one
-        HtInterpretation of (X, Y)."""
-        bits = table.to_bytes(self.size // 8 + 1, "little")
-        offset, names, sig = self.offset, self.names, self.signature
-        for y in self.totals(self.project(table) if columns is None else columns):
-            base, x, i, slots = offset[y], 0, 0, decode and self.decoded.get(y)
-            if slots is None:
-                slots = self.decoded[y] = [None] * (1 << len(names[y]))
-            while True:
-                p = base + offset[x]
-                if bits[p >> 3] >> (p & 7) & 1:
-                    if decode and slots[i] is None:
-                        slots[i] = HtInterpretation(names[x], names[y], sig)
-                    yield slots[i] if decode else (x, y)
-                if x == y:
-                    break
-                x, i = (x - y) & y, i + 1  # the next submask of y, and its slot
+    def as_bytes(self, table: int) -> bytes:
+        return table.to_bytes(self.size // 8 + 1, "little")
 
-    def members(self, table: int, columns: int | None = None) -> Iterator[HtInterpretation]:
-        """table's interpretations in canonical order, decoded on the walk of pairs."""
-        return self.pairs(table, columns, True)
+    def column(self, y: int) -> tuple:
+        """Column y's selector, built once: its submasks x ascending, a getter
+        of the byte of each position (X, Y) in a table's bytes, the bit of
+        each position in its byte, and the column's decoded members."""
+        selector = self.columns.get(y)
+        if selector is None:
+            from array import array  # its own shared library: not loaded by import htlp
+
+            base = self.offset[y]
+            xs, positions, masks = [0], [base], bytes([1 << (base & 7)])
+            for i in range(y.bit_length()):
+                if y >> i & 1:  # the submasks with atom i follow all those without
+                    atom, step = 1 << i, self.offset[1 << i]
+                    xs += [x | atom for x in xs]
+                    positions += [p + step for p in positions]
+                    masks += masks.translate(_ROTATE[step & 7])
+            # The trailing 0 keeps a one-position column's bytes a tuple.
+            get = itemgetter(*map(rshift, positions, repeat(3)), 0)
+            selector = self.columns[y] = array("L", xs), get, masks, [None] * len(xs)
+        return selector
+
+    def pairs(self, table: int, columns: int | None = None) -> Iterator[tuple[int, int]]:
+        """table's members in canonical order, from the given totals' columns,
+        each as its masks (x, y)."""
+        bits = self.as_bytes(table)
+        for y in self.totals(self.project(table) if columns is None else columns):
+            xs, get, masks, _ = self.column(y)
+            yield from zip(compress(xs, map(and_, get(bits), masks)), repeat(y))
+
+    def members(self, table: int, columns: int | None = None) -> list[HtInterpretation]:
+        """The space's one HtInterpretation of each (X, Y) of pairs, decoded
+        on first listing."""
+        bits, names, sig, found = self.as_bytes(table), self.names, self.signature, []
+        for y in self.totals(self.project(table) if columns is None else columns):
+            xs, get, masks, slots = self.column(y)
+            if not all(slots):  # some member of the column is not decoded yet
+                there = names[y]
+                for i in compress(range(len(xs)), map(and_, get(bits), masks)):
+                    if slots[i] is None:  # a valid pair by construction: no checks
+                        slots[i] = m = _new(HtInterpretation)
+                        _set_here(m, names[xs[i]]), _set_there(m, there), _set_over(m, sig)
+            found += compress(slots, map(and_, get(bits), masks))
+        return found
+
+    def member(self, table: int, total: int) -> HtInterpretation:
+        """table's first member in the column of the total at bit total,
+        decoded alone."""
+        x, y = next(self.pairs(table, total))
+        return self.members(1 << self.offset[y] + self.offset[x], total)[0]
 
     def closure_violation(self, table: int) -> tuple[HtInterpretation, ...] | None:
         """A total member of table whose column is incomplete, with a missing (X, Y)."""
@@ -223,17 +278,21 @@ class _Space:
         if not broken:
             return None
         column = broken & -broken
-        return next(self.members(broken, column)), next(self.members(missing, column))
+        return self.member(broken, column), self.member(missing, column)
+
+
+_spaces: dict[int, _Space] = {}
 
 
 def _space(sig: Signature, cap: int | None = None) -> _Space:
-    """The space over sig, shared since the last call over another signature."""
+    """The space over sig, shared since the last call over another signature
+    of its size."""
     if cap is not None and len(sig) > cap:
         raise CapExceededError(len(sig), cap)
-    return _last_space(sig)
-
-
-_last_space = lru_cache(maxsize=1)(_Space)
+    space = _spaces.get(len(sig))
+    if space is None or space.signature != sig:
+        space = _spaces[len(sig)] = _Space(sig)
+    return space
 
 
 class InterpretationSet(Value):
@@ -262,11 +321,7 @@ class InterpretationSet(Value):
                 )
         object.__setattr__(self, "signature", signature)
         space = _space(signature)
-        weight = space.weight
-        positions = {
-            sum(weight[a] for a in m.there) + sum(weight[a] for a in m.here)
-            for m in members
-        }
+        positions = {space.position(m) for m in members}
         self._decode(space, sum(1 << p for p in positions))
 
     @classmethod
@@ -287,7 +342,9 @@ class InterpretationSet(Value):
         return len(self.members)
 
     def __contains__(self, item: object) -> bool:
-        return item in self.members
+        if type(item) is not HtInterpretation or item.over != self.signature:
+            return False
+        return self._table >> _space(self.signature).position(item) & 1 == 1
 
     def total_closure_violation(self) -> tuple[HtInterpretation, HtInterpretation] | None:
         """A total member whose family is incomplete, with a missing (X, Y)."""
@@ -346,7 +403,8 @@ def ht_equivalent(
     differ = space.compiled(t1) ^ space.compiled(t2)
     if not differ:
         return EquivalenceResult(True)
-    return EquivalenceResult(False, next(space.members(differ)))
+    columns = space.project(differ)
+    return EquivalenceResult(False, space.member(differ, columns & -columns))
 
 
 def equilibrium_models(

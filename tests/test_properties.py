@@ -58,6 +58,7 @@ from htlp import (
     theory_to_program_syn,
     to_text,
 )
+from htlp import semantics
 from htlp.formula import _is_top, _names, _postorder
 from htlp.rewriting import (
     RewriteTrace,
@@ -238,6 +239,63 @@ def test_decoded_members_equal_their_checked_twins(t):
         assert m == twin and hash(m) == hash(twin)
     position = {twin: i for i, twin in enumerate(twins)}
     assert [position[m] for m in decoded] == list(range(len(decoded)))
+
+
+def masks(sig: Signature, listing: list) -> list:
+    """The reference's (X, Y) pairs as the (x, y) bit masks of sig's atoms."""
+    bit = {name: 1 << i for i, name in enumerate(sig)}
+    return [(sum(bit[a] for a in x), sum(bit[a] for a in y)) for x, y in listing]
+
+
+@fixed
+@given(theories(), st.data())
+def test_column_selectors_list_in_canonical_order(t, data):
+    # A column's selector is built on its first listing and kept; its
+    # slots fill as members are decoded.  (∅, ∅), alone in column 0, is a
+    # model or a countermodel, so every round lists the one-position column.
+    sig, expected = t.signature, (ref.models(t), ref.countermodels(t))
+
+    def listings_match():
+        assert (pairs(ht_models(t)), pairs(ht_countermodels(t))) == expected
+        space = semantics._space(sig)
+        table = space.compiled(t)
+        listed = [list(space.pairs(table)), list(space.pairs(space.full ^ table))]
+        assert listed == [masks(sig, e) for e in expected]
+
+    semantics._spaces.pop(len(sig), None)
+    listings_match()  # cold: every column is built by the listing
+    listings_match()  # warm: the selectors and the decoded members are kept
+
+    # A witness, or a drawn column's first member, decodes one member and
+    # leaves the rest of its column empty for the listings to fill.
+    semantics._spaces.pop(len(sig), None)
+    witnesses = [ht_equivalent(t, Theory((), sig)).witness,  # t's first countermodel
+                 ht_equivalent(t, Theory((BOT,), sig)).witness]  # t's first model
+    space = semantics._space(sig)
+    table = space.compiled(t)
+    y = data.draw(st.sampled_from(range(1 << len(sig))), label="column")
+    for part in (table, space.full ^ table):
+        if space.project(part) >> 2 * space.offset[y] & 1:
+            space.member(part, 1 << 2 * space.offset[y])
+    filled = sum(m is not None for column in space.columns.values() for m in column[3])
+    assert filled <= 4  # the two witnesses and at most two drawn members
+    listings_match()
+    listed = list(ht_countermodels(t)) + list(ht_models(t))
+    assert all(any(w is m for m in listed) for w in witnesses if w is not None)
+
+
+@fixed
+@given(st.data())
+def test_interpretation_set_membership_reads_the_table(data):
+    sig, members = data.draw(interpretation_sets())
+    s = InterpretationSet(tuple(members), sig)
+    other = Signature(sig.atoms + ("z",))
+    for m in enumerate_interpretations(sig):
+        assert (m in s) == any(m == n for n in s.members)
+    for m in enumerate_interpretations(other):
+        assert m not in s and not any(m == n for n in s.members)
+    for item in (None, 0, "a", (frozenset(), frozenset()), sig, s):
+        assert item not in s and not any(item == n for n in s.members)
 
 
 @st.composite

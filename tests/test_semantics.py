@@ -1,6 +1,7 @@
 """Here-and-there satisfaction, model sets, equivalence, equilibrium."""
 
 import copy
+import gc
 import pickle
 import random
 
@@ -32,6 +33,7 @@ from htlp import (
     theory_to_program_cm,
 )
 import ht_reference as ref
+from htlp import semantics
 from api_reference import enumerate_interpretations, strong_equivalence_probe
 from conftest import random_formula, single
 
@@ -337,6 +339,27 @@ class TestStrongEquivalenceProbe:
         assert strong_equivalence_probe(t1, t2, Theory(())) == expected
 
 
+class TestNegationShortcut:
+    """An implication whose consequent is never true "there" compiles to
+    ~F.there for both of its tables; these consequents are unsatisfiable
+    without being bot."""
+
+    @pytest.mark.parametrize("text", ["a -> b & ~b", "(a | b) -> ~c & c", "a -> ~(b | ~b)"])
+    def test_tables_match_the_reference(self, text):
+        f = parse(text)
+        sig = atoms_of(f)
+        space = semantics._space(sig)
+        here, there = semantics._tables(f, space)
+        for m in enumerate_interpretations(sig):
+            bit = space.position(m)
+            assert here >> bit & 1 == ref.sat_ht(m.here, m.there, f)
+            assert there >> bit & 1 == ref.sat_classical(m.there, f)
+        t = single(f)
+        assert [(m.here, m.there) for m in ht_models(t)] == ref.models(t)
+        assert [(m.here, m.there) for m in ht_countermodels(t)] == ref.countermodels(t)
+        assert list(equilibrium_models(t)) == ref.equilibrium_models(t)
+
+
 class TestHtValid:
     def test_constants(self):
         assert ht_valid(TOP)
@@ -383,3 +406,32 @@ class TestSharedSpace:
         rebuilt = InterpretationSet(
             [HtInterpretation(m.here, m.there, t.signature) for m in first])
         assert all(m is n for m, n in zip(first, rebuilt))
+
+    def test_per_formula_translation_keeps_the_theory_table(self, monkeypatch):
+        # Each formula has fewer atoms than the theory, so its sub-space is
+        # another size and leaves the theory's space and table in place.
+        t = parse_theory("p -> q\nr\n~q -> r\n")
+        compiled = []
+        original = semantics._Space.theory
+        monkeypatch.setattr(
+            semantics._Space, "theory",
+            lambda space, u: compiled.append(u) or original(space, u),
+        )
+        theory_to_program_cm(t)
+        theory_to_program_cm(t, "per_formula")
+        theory_to_dnf(t)
+        assert sum(u is t for u in compiled) == 1
+        assert len(compiled) == 4  # t, then its three formulas
+
+    def test_witness_decodes_one_member(self):
+        t = parse_theory("p -> q\nq -> r\nr -> p\n")
+        partner = parse_theory("~q -> ~p\n~r -> ~q\n~p -> ~r\n")
+        semantics._spaces.pop(len(t.signature), None)
+        gc.collect()  # no cyclic garbage left to free members while counting
+        before = sum(type(o) is HtInterpretation for o in gc.get_objects())
+        witness = ht_equivalent(t, partner).witness
+        after = sum(type(o) is HtInterpretation for o in gc.get_objects())
+        assert after - before == 1
+        assert (witness.here, witness.there) == ref.equivalence_witness(t, partner)
+        space = semantics._space(t.signature)
+        assert [m for column in space.columns.values() for m in column[3] if m] == [witness]
