@@ -37,10 +37,7 @@ def count_formula(n: int) -> ProgramCount:
     """The closed-form count for a signature of n atoms."""
     if n < 0 or n > FORMULA_MAX_N:
         raise CountBoundExceededError(n, FORMULA_MAX_N, "count_formula")
-    value = 1
-    for i in range(n + 1):
-        value *= (2 ** (2**i - 1) + 1) ** math.comb(n, i)
-    return ProgramCount(n, value)
+    return ProgramCount(n, math.prod(factor**binom for _, binom, factor in factor_table(n)))
 
 
 def factor_table(n: int) -> list[tuple[int, int, int]]:

@@ -316,12 +316,6 @@ class Signature(Value):
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Signature) and self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
-
     def __or__(self, other: "Signature") -> "Signature":
         return Signature(self.atoms + other.atoms)
 
@@ -437,13 +431,11 @@ def is_nonnested_rule(f: Formula) -> bool:
 class Rule(Value):
     """body -> head with both sides nested expressions.
 
-    The check ORs the sides' bits, and the result, whose set bits are the
-    rule's atoms, is kept in _atoms for Program's signature check; _atoms
-    is not a field, so equality, hashing, repr, copies and pickles ignore it.
+    A rule keeps its two sides and nothing else: its atoms are the set
+    bits of its sides' _bits, which Program's signature check ORs.
     """
 
-    __slots__ = ("body", "head", "_atoms")
-    __match_args__ = ("body", "head")
+    __slots__ = __match_args__ = ("body", "head")
 
     def __init__(self, body: Formula, head: Formula) -> None:
         try:
@@ -456,7 +448,6 @@ class Rule(Value):
                     raise ValueError(f"rule {side} is not a nested expression: {f!r}")
         _set_body(self, body)
         _set_head(self, head)
-        _set_atoms(self, bits)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -483,16 +474,16 @@ class Rule(Value):
         return rule_to_text(self)
 
 
-_set_body, _set_head, _set_atoms = Rule.body.__set__, Rule.head.__set__, Rule._atoms.__set__
+_set_body, _set_head = Rule.body.__set__, Rule.head.__set__
 
 
 def _rule_atoms(rules: tuple[Rule, ...]) -> set[str]:
-    """The atoms of the rules, from the bits their checks kept."""
+    """The atoms of the rules, from their sides' bits."""
     bits = 0
     try:
         for r in rules:
-            bits |= r._atoms
-    except AttributeError:  # only a non-rule lacks _atoms
+            bits |= r.body._bits | r.head._bits
+    except AttributeError:  # only a non-rule lacks body or head
         bad = next(r for r in rules if not isinstance(r, Rule))
         raise TypeError(f"not a rule: {bad!r}") from None
     return _names(bits)

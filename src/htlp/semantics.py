@@ -65,7 +65,6 @@ from .formula import (
     Theory,
     Value,
     _postorder,
-    atoms_of,
 )
 
 DEFAULT_CAP = 16
@@ -374,8 +373,9 @@ def ht_valid(f: Formula, cap: int = DEFAULT_CAP) -> bool:
     Validity is insensitive to enlarging the signature, so checking over
     the occurring atoms is enough.
     """
-    space = _space(atoms_of(f), cap)
-    return _tables(f, space)[0] == space.full
+    t = Theory((f,))
+    space = _space(t.signature, cap)
+    return space.theory(t) == space.full
 
 
 class EquivalenceResult(Value):

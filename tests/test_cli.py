@@ -1,6 +1,7 @@
 """The command-line interface: outputs, formats, exit codes."""
 
 import ast
+import contextlib
 import decimal
 import io
 import json
@@ -9,11 +10,33 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from htlp import cli, ht_countermodels, ht_models, parse_theory, rewriting, semantics
+import ht_reference as ref
+import parser_reference
+from htlp import (
+    BOT,
+    TOP,
+    And,
+    Atom,
+    Implies,
+    Or,
+    Signature,
+    Theory,
+    cli,
+    ht_countermodels,
+    ht_models,
+    iff,
+    neg,
+    parse_theory,
+    rewriting,
+    semantics,
+)
 from htlp.cli import main
 
 FORMULA2 = "(q -> p) | r\n"
@@ -681,3 +704,140 @@ class TestStartup:
         added = set(child.stdout.split())
         assert "htlp.cli" in added
         assert not added & {"dataclasses", "inspect", "json"}
+
+
+# --- a differential gate: drawn files and command lines against the reference
+
+_BINARY = {"&": And, "|": Or, "->": Implies, "<->": iff}
+_LEAVES = [(name, Atom(name)) for name in "abcd"] + [("top", TOP), ("bot", BOT)]
+
+#: (text, tree) pairs: the text in the file grammar and the tree it denotes,
+#: built with the node constructors, not by the parser under test.
+formula_texts = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda sub: st.builds(
+        lambda op, f: (op + f[0], neg(f[1])), st.sampled_from(("~", "not ")), sub
+    ) | st.builds(
+        lambda op, f, g: (f"({f[0]} {op} {g[0]})", _BINARY[op](f[1], g[1])),
+        st.sampled_from(sorted(_BINARY)), sub, sub,
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def theory_files(draw):
+    """The text of a file of at most 3 formulas over at most 4 atoms, with an
+    optional #signature line, and the theory it denotes."""
+    lines = draw(st.lists(formula_texts, max_size=3))
+    declared = draw(st.none() | st.sets(st.sampled_from("abcd"), min_size=1))
+    texts = [text for text, _ in lines]
+    if declared is not None:
+        texts.insert(draw(st.integers(0, len(texts))), "#signature " + " ".join(declared))
+    formulas = tuple(f for _, f in lines)
+    signature = Theory(formulas).signature | Signature(declared or ())
+    return "".join(text + "\n" for text in texts), Theory(formulas, signature)
+
+
+command_lines = (
+    st.sampled_from(("models", "countermodels", "equilibrium", "check-equiv")).map(
+        lambda c: [c]
+    )
+    | st.builds(
+        lambda method, simplify, verify: ["to-program", "--method", method]
+        + ["--simplify"] * simplify + ["--verify"] * verify,
+        st.sampled_from(("countermodel", "syntactic")), st.booleans(), st.booleans(),
+    )
+    | st.builds(lambda verify: ["to-dnf"] + ["--verify"] * verify, st.booleans())
+)
+
+
+def _shown(atoms) -> str:
+    return " ".join(sorted(atoms)) or "∅"
+
+
+def _as_json(pairs) -> list:
+    return [{"here": sorted(x), "there": sorted(y)} for x, y in pairs]
+
+
+def _parsed_back(lines) -> Theory:
+    return Theory(tuple(parser_reference.parse(line) for line in lines))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(theory_files(), theory_files(), command_lines, st.booleans())
+def test_command_lines_agree_with_the_reference(first, second, command, structured):
+    (text, t), (other_text, u) = first, second
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [os.path.join(folder, name) for name in ("first.lp", "second.lp")]
+        for path, body in zip(paths, (text, other_text)):
+            Path(path).write_text(body, encoding="utf-8")
+        argv = command + paths[: 2 if command[0] == "check-equiv" else 1]
+        argv += ["--format", "structured"] if structured else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    # Every drawn file is valid and within the cap, so only a syntactic
+    # translation's rule budget may stop a run.
+    syntactic = command[:3] == ["to-program", "--method", "syntactic"]
+    if code == cli.EXIT_CAP_EXCEEDED and syntactic:
+        assert err.startswith("error: ") and out == ""
+        return
+    assert err == ""
+    verify = "--verify" in command
+    if structured:
+        document = json.loads(out)
+        assert set(document) == {"command", "signature", "results", "verification"}
+        assert document["command"] == command[0]
+        sig = t.signature | u.signature if command[0] == "check-equiv" else t.signature
+        assert document["signature"] == list(sig.atoms)
+        assert document["verification"] == ("VERIFIED" if verify else None)
+        results = document["results"]
+    else:
+        lines = out.splitlines()
+        if verify:
+            assert lines.pop() == "VERIFIED"
+    if command[0] in ("models", "countermodels"):
+        models, countermodels = ref.models(t), ref.countermodels(t)
+        if structured:
+            assert results == {
+                "models": _as_json(models), "countermodels": _as_json(countermodels)
+            }
+        else:
+            listed = models if command[0] == "models" else countermodels
+            assert lines == [f"{_shown(x)} | {_shown(y)}" for x, y in listed]
+    elif command[0] == "equilibrium":
+        answer_sets = ref.equilibrium_models(t)
+        if structured:
+            assert results == {"equilibrium_models": [sorted(y) for y in answer_sets]}
+        else:
+            assert lines == [_shown(y) for y in answer_sets]
+    elif command[0] == "check-equiv":
+        witness = ref.equivalence_witness(t, u)
+        assert code == (cli.EXIT_OK if witness is None else cli.EXIT_CHECK_FAILED)
+        if structured:
+            assert results == {
+                "equivalent": witness is None,
+                "witness": None if witness is None else _as_json([witness])[0],
+            }
+        else:
+            shown = witness and f"WITNESS {_shown(witness[0])} | {_shown(witness[1])}"
+            assert lines == [shown or "EQUIVALENT"]
+        return
+    elif command[0] == "to-program":
+        if structured:
+            assert set(results) == {"method", "mode", "rule_count", "rules"}
+            assert results["method"] == command[2]
+            assert results["mode"] == ("per_formula" if syntactic else "whole")
+            assert results["rule_count"] == len(results["rules"])
+            lines = results["rules"]
+        assert ref.equivalence_witness(t, _parsed_back(lines)) is None
+    else:
+        if structured:
+            assert set(results) == {"dnf", "clauses"}
+            assert [c["source"] for c in results["clauses"]] == _as_json(ref.models(t))
+            lines = [results["dnf"]]
+        assert len(lines) == 1
+        assert ref.equivalence_witness(t, _parsed_back(lines)) is None
+    assert code == cli.EXIT_OK

@@ -298,19 +298,20 @@ class TestRuleAndProgram:
                 Rule(Implies(q, p), head)
 
     def test_rule_atoms_are_collected_and_interned(self):
-        # _atoms is the OR of the sides' bits: one int per set of atoms.
+        # A rule's atoms are the OR of its sides' bits: one int per set of atoms.
         rule = Rule(And(p, neg(q)), Or(r, neg(neg(p))))
-        assert _names(rule._atoms) == {"p", "q", "r"}
-        assert rule._atoms == rule.body._bits | rule.head._bits
-        assert not rule._atoms & 1
-        assert Rule(neg(r), Or(q, p))._atoms == rule._atoms
-        assert Rule(TOP, BOT)._atoms == 0
+        assert Program((rule,)).signature.names == {"p", "q", "r"}
+        assert _names(rule.body._bits | rule.head._bits) == {"p", "q", "r"}
+        assert not (rule.body._bits | rule.head._bits) & 1
+        other = Rule(neg(r), Or(q, p))
+        assert other.body._bits | other.head._bits == rule.body._bits | rule.head._bits
+        assert Program((Rule(TOP, BOT),)).signature == Signature()
 
     def test_rule_copies_and_pickles_keep_the_atoms(self):
         rule = Rule(And(p, neg(q)), Or(r, neg(r)))
         pickled = pickle.loads(pickle.dumps(rule))
         for twin in (copy.copy(rule), copy.deepcopy(rule), pickled):
-            assert twin == rule and twin._atoms == rule._atoms
+            assert twin == rule
         assert Rule.__match_args__ == ("body", "head")
         assert repr(rule) == "p & ~q -> r | ~r"
         assert rule.__reduce__() == (Rule, (rule.body, rule.head))

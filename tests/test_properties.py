@@ -200,14 +200,24 @@ def test_equivalence_with_a_near_copy(t, data):
 COMPILING_CALLS = ("models", "countermodels", "equilibrium", "equivalent", "rebuild")
 
 
+def renamed(f):
+    """f with each atom a replaced by a2."""
+    if type(f) is Atom:
+        return Atom(f.name + "2")
+    return f if f is BOT else type(f)(renamed(f.left), renamed(f.right))
+
+
 @fixed
 @given(st.lists(theories(), min_size=2, max_size=3), st.data())
 def test_compiled_tables_are_never_stale(pool, data):
-    # Each space keeps the table of the last theory compiled over it.
-    # Theories over different signatures evict the shared space, and
+    # Each space keeps the table of the last theory compiled over it, and
+    # one space is kept per signature size: pool[0] renamed has another
+    # signature of the same size, so the two evict each other's space.
     # ht_equivalent compiles over the union; an equal but distinct copy is
     # another key, and a rebuilt theory may take a dropped one's address.
-    pool.append(Theory(pool[0].formulas, pool[0].signature))
+    sig = pool[0].signature
+    pool.append(Theory(pool[0].formulas, sig))
+    pool.append(Theory(map(renamed, pool[0].formulas), Signature(a + "2" for a in sig)))
     index = st.sampled_from(range(len(pool)))
     calls = st.tuples(st.sampled_from(COMPILING_CALLS), index, index)
     for call, i, j in data.draw(st.lists(calls, min_size=4, max_size=12)):
@@ -377,8 +387,9 @@ def test_builders_equal_the_reference(m):
     built, expected = build_rule(m), countermodel_reference.build_rule(m)
     assert built == expected and built.source is m
     assert rule_to_text(built.rule) == rule_to_text(expected.rule)
-    assert built.rule._atoms == expected.rule._atoms
-    assert _names(built.rule._atoms) == m.over.names
+    bits = built.rule.body._bits | built.rule.head._bits
+    assert bits == expected.rule.body._bits | expected.rule.head._bits
+    assert _names(bits) == m.over.names
     built, expected = build_clause(m), countermodel_reference.build_clause(m)
     assert built == expected and built.source is m
     assert to_text(built.clause) == to_text(expected.clause)
@@ -776,8 +787,9 @@ def test_a_non_formula_is_refused_where_it_enters(f, side, bad, bad_first):
 
 def assert_rule_atoms_match_the_reference(program):
     for rule in program:
-        assert _names(rule._atoms) == formula_reference.atoms_of(rule.body, rule.head).names
-        assert not rule._atoms & 1
+        bits = rule.body._bits | rule.head._bits
+        assert _names(bits) == formula_reference.atoms_of(rule.body, rule.head).names
+        assert not bits & 1
 
 
 @fixed
