@@ -91,10 +91,10 @@ def _undefined_parts(atoms: tuple[str, ...], mask: int) -> tuple[Formula, tuple]
 
 @lru_cache(maxsize=256)
 def _literal_table(atoms: tuple[str, ...]) -> tuple:
-    """The atoms in name order, their number n, each atom's bit, and the
-    literal of each bit of a spine key: atom i at bit i, ~atom i at n + i."""
+    """The atoms in name order, their number n, and the literal of each bit
+    of a spine key: atom i at bit i, ~atom i at n + i."""
     n, literals = len(atoms), [_literals(name) for name in atoms]
-    return atoms, n, {name: 1 << i for i, name in enumerate(atoms)}, {
+    return atoms, n, {
         1 << i + n * negated: lit[negated] for negated in (0, 1)
         for i, lit in enumerate(literals)
     }
@@ -109,10 +109,9 @@ def _build(lits: tuple, memo: dict, x: int, y: int, clause: bool) -> Rule | Form
     top bit, on the spine of the key without it.  One memo per call maps
     each key built to its spine, and ~u to the parts of undefined mask u.
     """
-    atoms, n, _, literals = lits
-    key = x | ((1 << n) - 1 ^ y) << n
+    atoms, n, literals = lits
+    key = rest = x | ((1 << n) - 1 ^ y) << n
     spine = memo.get(key)
-    rest = key if memo else 0  # an empty memo holds no prefix to find
     while spine is None and rest:  # strip literals down to a built prefix
         rest ^= 1 << rest.bit_length() - 1
         spine = memo.get(rest)
@@ -136,11 +135,10 @@ def _build(lits: tuple, memo: dict, x: int, y: int, clause: bool) -> Rule | Form
 
 def _build_one(interpretation: HtInterpretation, clause: bool) -> Rule | Formula:
     """_build on the masks of one interpretation, with a memo of its own."""
-    lits, x, y = _literal_table(interpretation.over.atoms), 0, 0
-    for name in interpretation.here:
-        x |= lits[2][name]
-    for name in interpretation.there:
-        y |= lits[2][name]
+    lits = _literal_table(interpretation.over.atoms)
+    index = lits[0].index
+    x = sum(1 << index(name) for name in interpretation.here)
+    y = sum(1 << index(name) for name in interpretation.there)
     return _build(lits, {}, x, y, clause)
 
 

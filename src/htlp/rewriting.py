@@ -421,15 +421,17 @@ def theory_to_program_syn(
 
 
 # --- simplification ----------------------------------------------------
-# _and, _or and _not take parts that are already normalized and give the
-# normalized result, so _normalize is one bottom-up pass.  On nested
-# expressions (rule sides) _normalize is idempotent, so this equals
-# normalizing each De Morgan rewrite again.  A normalized side is top or
-# bot only as a whole.  The run's memo maps id(node) to (node, result) for
-# the nodes _normalize has met: the rules of simplify()'s input and of
-# _disjunction.  Lemma 1's rules arrive with sides that _and, _or and _not
-# built from normalized ones, and are not normalized again.  Unit tests
-# use the branch's unit dict and its negated set, and build no node.
+# Everything here works on rule sides, nested expressions (Rule refuses any
+# other side): every -> in them is a negation F -> bot.  _and, _or and _not
+# take parts that are already normalized and give the normalized result,
+# so _normalize is one bottom-up pass.  On nested expressions _normalize
+# is idempotent, so this equals normalizing each De Morgan rewrite again.
+# A normalized side is top or bot only as a whole.  The run's memo maps
+# id(node) to (node, result) for the nodes _normalize has met: the rules
+# of simplify()'s input and of _disjunction.  Lemma 1's rules arrive with
+# sides that _and, _or and _not built from normalized ones, and are not
+# normalized again.  Unit tests use the branch's unit dict and its negated
+# set, and build no node.
 
 def _and(left: Formula, right: Formula) -> Formula:
     if type(left) is Bottom or type(right) is Bottom:
@@ -460,11 +462,11 @@ def _not(f: Formula) -> Formula:
         return _or(_not(f.left), _not(f.right))
     if kind is Or:
         return _and(_not(f.left), _not(f.right))
-    if kind is Implies and type(f.consequent) is Bottom:
+    if kind is Implies:
         inner = f.antecedent
         if type(inner) is Bottom:  # f is top
             return BOT
-        if type(inner) is Implies and type(inner.consequent) is Bottom:
+        if type(inner) is Implies:
             return inner  # ~~~G is ~G
     return Implies(f, BOT)  # not neg(f): one frame less on deep negations
 
@@ -472,11 +474,9 @@ def _not(f: Formula) -> Formula:
 def _normalize(f: Formula, memo: dict[int, tuple[Formula, Formula]]) -> Formula:
     """Constant folding, weak De Morgan, and triple-negation collapse.
 
-    Double negations are kept: ~~F is not equivalent to F here.  f is
-    meant to be a nested expression; an implication with another
-    consequent keeps its shape and is not folded into a negation.  memo
-    holds the results by node identity, so a shared subtree is
-    normalized once.
+    Double negations are kept: ~~F is not equivalent to F here.  f is a
+    rule side.  memo holds the results by node identity, so a shared
+    subtree is normalized once.
     """
     kind = type(f)
     if kind is Atom or kind is Bottom:
@@ -488,14 +488,8 @@ def _normalize(f: Formula, memo: dict[int, tuple[Formula, Formula]]) -> Formula:
         out = _and(_normalize(f.left, memo), _normalize(f.right, memo))
     elif kind is Or:
         out = _or(_normalize(f.left, memo), _normalize(f.right, memo))
-    elif kind is not Implies:
-        raise TypeError(f"not a formula: {f!r}")
-    elif type(f.consequent) is Bottom:
-        out = _not(_normalize(f.antecedent, memo))
     else:
-        # Implications with a non-bot consequent occur only at the rule
-        # level, never inside nested expressions.
-        out = Implies(_normalize(f.antecedent, memo), _normalize(f.consequent, memo))
+        out = _not(_normalize(f.antecedent, memo))
     memo[id(f)] = (f, out)
     return out
 
@@ -513,20 +507,16 @@ def _flatten_or(f: Formula) -> list[Formula]:
     return [d for d in _operands(f, Or) if type(d) is not Bottom]
 
 
-def _is_negation(f: Formula) -> bool:
-    return type(f) is Implies and type(f.consequent) is Bottom
-
-
 def _false_under(d: Formula, units: dict[Formula, None], negated: set[Formula]) -> bool:
     """Whether the body units make d false: ~d or, for d = ~G, G is a unit."""
-    return d in negated or (_is_negation(d) and d.antecedent in units)
+    return d in negated or (type(d) is Implies and d.antecedent in units)
 
 
 def _simplify_head(combo: tuple[Formula, ...], head: Formula) -> Rule | None:
     """The cleaned-up rule for one body branch, None when the branch is
     contradictory or the rule tautological."""
     units = dict.fromkeys(u for c in combo for u in _operands(c, And))
-    negated = {u.antecedent for u in units if _is_negation(u)}
+    negated = {u.antecedent for u in units if type(u) is Implies}
     if not negated.isdisjoint(units):
         return None  # u and ~u in the body
     kept: dict[Formula, None] = {}
@@ -548,7 +538,7 @@ def _simplify_head(combo: tuple[Formula, ...], head: Formula) -> Rule | None:
         kept[d] = None
     for d in kept:  # ~~G, or a conjunction of such, with each G a unit
         # (F -> ~~F) or its ~G kept too (~F | ~~F)
-        if all(_is_negation(c) and _is_negation(c.antecedent) and (
+        if all(type(c) is Implies and type(c.antecedent) is Implies and (
                 c.antecedent.antecedent in units or c.antecedent in kept)
                for c in (_operands(d, And) if type(d) is And else (d,))):
             return None

@@ -320,8 +320,10 @@ class InterpretationSet(Value):
                 )
         object.__setattr__(self, "signature", signature)
         space = _space(signature)
-        positions = {space.position(m) for m in members}
-        self._decode(space, sum(1 << p for p in positions))
+        bits = bytearray(space.size // 8 + 1)  # summing 3^n-bit ints is quadratic
+        for p in map(space.position, members):
+            bits[p >> 3] |= 1 << (p & 7)
+        self._decode(space, int.from_bytes(bits, "little"))
 
     @classmethod
     def _of(cls, space: _Space, table: int) -> InterpretationSet:

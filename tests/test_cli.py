@@ -841,3 +841,32 @@ def test_command_lines_agree_with_the_reference(first, second, command, structur
         assert len(lines) == 1
         assert ref.equivalence_witness(t, _parsed_back(lines)) is None
     assert code == cli.EXIT_OK
+
+
+#: Fragments of theory files, well-formed or not: the grammar's tokens, the
+#: whitespace the tokenizer skips and the control characters it refuses,
+#: characters outside the grammar, line breaks of each kind and #signature
+#: lines.
+_RAW_TOKENS = (
+    "a", "b", "c", "x1", "not", "top", "bot", "~", "&", "|", "->", "<->", "(", ")",
+    " ", "\t", "\n", "\r\n", "\r", "\x0c", "\x0b", "$", "é", "A", "_", "-", ">",
+    "%", "#", "#signature", "\n#signature a b\n", "#signature é\n",
+)
+raw_files = st.lists(st.sampled_from(_RAW_TOKENS), max_size=12).map("".join)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(raw_files, raw_files, command_lines, st.booleans())
+def test_raw_token_files_exit_with_a_documented_code(first, second, command, structured):
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [os.path.join(folder, name) for name in ("first.lp", "second.lp")]
+        for path, body in zip(paths, (first, second)):
+            Path(path).write_bytes(body.encode("utf-8"))  # CRLF kept as written
+        argv = command + paths[: 2 if command[0] == "check-equiv" else 1]
+        argv += ["--format", "structured"] if structured else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception escaping fails the test
+    assert code in (0, 1, 2, 3)
+    if code >= 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""

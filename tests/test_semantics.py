@@ -221,6 +221,15 @@ class TestModelSets:
         s = InterpretationSet((a_total, empty, a_total), sig)
         assert [m.display() for m in s] == ["∅ | ∅", "a | a"]
 
+    def test_interpretation_set_rebuilds_a_large_set(self):
+        # 13,122 members over 9 atoms; the drawn sets of the property tests
+        # are small.
+        t = Theory((parse("x0 -> x1"),), Signature([f"x{i}" for i in range(9)]))
+        s = ht_models(t)
+        rebuilt = InterpretationSet(s.members, s.signature)
+        assert len(s) == 13_122
+        assert rebuilt == s and rebuilt._table == s._table
+
     def test_total_closure_violation_reported(self):
         sig = Signature(["a", "b"])
         lonely = InterpretationSet(
